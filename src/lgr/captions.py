@@ -7,16 +7,13 @@ admit an ANN index, but approximate retrieval is out of scope.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .embedding import row_dots
+from .columns import Columns, RowStore
 from .model import Config, Observation, Pose, ensure_valid
-
-_GROW = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,46 +45,20 @@ class CaptionHit:
         }
 
 
-class CaptionStore:
+class CaptionStore(RowStore):
     """Flat scan store with the same writer/reader contract as the graph."""
 
-    def __init__(self, cfg: Config):
-        self._cfg = cfg
-        self._lock = threading.Lock()
-        self._records: dict[int, CaptionRecord] = {}
-        self._next_id = 1
-        self._size = 0
-        self._emb = np.empty((0, cfg.embedding_dim), dtype=np.float64)
-        self._pos = np.empty((0, 3), dtype=np.float64)
-        self._time = np.empty(0, dtype=np.float64)
-        self._ids = np.empty(0, dtype=np.int64)
+    _ID = "record_id"
+    _WHAT = "caption record"
 
-    @property
-    def cfg(self) -> Config:
-        return self._cfg
+    @staticmethod
+    def _values(record: CaptionRecord) -> tuple:
+        p = record.pose
+        return record.embedding, p.x, p.y, p.z, record.time
 
-    @property
-    def next_id(self) -> int:
-        with self._lock:
-            return self._next_id
-
-    def record_count(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def __len__(self) -> int:
-        return self.record_count()
-
-    def get_record(self, record_id: int) -> CaptionRecord:
-        with self._lock:
-            try:
-                return self._records[record_id]
-            except KeyError:
-                raise KeyError(f"no such caption record: {record_id}") from None
-
-    def all_records(self) -> list[CaptionRecord]:
-        with self._lock:
-            return list(self._records.values())
+    record_count = RowStore.__len__
+    get_record = RowStore._get
+    all_records = RowStore._all
 
     def insert_caption(self, obs: Observation) -> int:
         """Insert the observation's caption triplet; returns the record id.
@@ -107,8 +78,7 @@ class CaptionStore:
                 time=obs.time,
             )
             self._next_id += 1
-            self._records[record.record_id] = record
-            self._append(record)
+            self._add(record)
             return record.record_id
 
     # ------------------------------------------------------------------
@@ -117,39 +87,15 @@ class CaptionStore:
 
     def query_text(self, q: np.ndarray, k: int) -> list[CaptionHit]:
         """Top-k by descending cosine similarity to a query embedding."""
-        e = self._check_dim(q)
-        self._check_k(k)
-        with self._lock:
-            if self._size == 0:
-                return []
-            sims = np.clip(row_dots(self._emb[: self._size], e), -1.0, 1.0)
-            order = np.lexsort((self._ids[: self._size], -sims))[:k]
-            return [self._hit(i, float(sims[i])) for i in order]
+        return self._hits(Columns.cosine, q, k, descending=True)
 
     def query_position(self, pose: Pose, k: int) -> list[CaptionHit]:
         """Top-k by ascending L2 distance over x, y, z."""
-        self._check_k(k)
-        p = pose.position()
-        with self._lock:
-            if self._size == 0:
-                return []
-            d = np.sqrt(((self._pos[: self._size] - p) ** 2).sum(axis=1))
-            order = np.lexsort((self._ids[: self._size], d))[:k]
-            return [self._hit(i, float(d[i])) for i in order]
+        return self._hits(Columns.distance, pose.position(), k)
 
     def query_time(self, t: float, k: int) -> list[CaptionHit]:
         """Top-k by ascending absolute time difference."""
-        self._check_k(k)
-        with self._lock:
-            if self._size == 0:
-                return []
-            dt = np.abs(self._time[: self._size] - float(t))
-            order = np.lexsort((self._ids[: self._size], dt))[:k]
-            return [self._hit(i, float(dt[i])) for i in order]
-
-    # ------------------------------------------------------------------
-    # persistence support
-    # ------------------------------------------------------------------
+        return self._hits(Columns.time_gap, t, k)
 
     @classmethod
     def restore(
@@ -158,59 +104,14 @@ class CaptionStore:
         records: Iterable[CaptionRecord],
         next_id: int | None = None,
     ) -> "CaptionStore":
-        s = cls(cfg)
-        ordered = sorted(records, key=lambda r: r.record_id)
-        seen: set[int] = set()
-        for record in ordered:
-            if record.record_id in seen:
-                raise ValueError(f"duplicate record_id {record.record_id}")
-            seen.add(record.record_id)
-            s._check_dim(record.embedding)
-            s._records[record.record_id] = record
-            s._append(record)
-        s._next_id = next_id if next_id is not None else (max(seen) + 1 if seen else 1)
-        return s
+        """Rebuild a store from persisted records.
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
+        ``next_id`` must exceed every record id; it defaults to one above.
+        """
+        return cls._restored(cfg, records, next_id)
 
-    def _hit(self, row: int, score: float) -> CaptionHit:
-        record = self._records[int(self._ids[row])]
-        return CaptionHit(
-            record_id=record.record_id,
-            text=record.text,
-            pose=record.pose,
-            time=record.time,
-            score=score,
-        )
-
-    @staticmethod
-    def _check_k(k: int) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-
-    def _check_dim(self, embedding: np.ndarray) -> np.ndarray:
-        e = np.asarray(embedding, dtype=np.float64)
-        if e.ndim != 1 or e.shape[0] != self._cfg.embedding_dim:
-            raise ValueError(
-                f"embedding dimension mismatch: expected {self._cfg.embedding_dim}, "
-                f"got {e.shape}"
-            )
-        return e
-
-    def _append(self, record: CaptionRecord) -> None:
-        if self._size == self._emb.shape[0]:
-            extra = max(_GROW, self._size)
-            self._emb = np.concatenate(
-                [self._emb, np.empty((extra, self._cfg.embedding_dim), np.float64)]
-            )
-            self._pos = np.concatenate([self._pos, np.empty((extra, 3), np.float64)])
-            self._time = np.concatenate([self._time, np.empty(extra, np.float64)])
-            self._ids = np.concatenate([self._ids, np.empty(extra, np.int64)])
-        row = self._size
-        self._emb[row] = record.embedding.astype(np.float64)
-        self._pos[row] = (record.pose.x, record.pose.y, record.pose.z)
-        self._time[row] = record.time
-        self._ids[row] = record.record_id
-        self._size += 1
+    def _hits(self, score, arg, k: int, descending: bool = False) -> list[CaptionHit]:
+        return [
+            CaptionHit(r.record_id, r.text, r.pose, r.time, s)
+            for r, s in self._top(score, arg, k, descending)
+        ]

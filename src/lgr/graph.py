@@ -11,16 +11,13 @@ memory is missing.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import row_dots
+from .columns import Columns, RowStore, check_dim
 from .model import Config, Observation, Pose, ensure_valid
-
-_GROW = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,59 +69,30 @@ def apply_update(node: EntityNode, p_new: Pose, t_new: float) -> EntityNode:
     )
 
 
-class MemoryGraph:
+class MemoryGraph(RowStore):
     """Single-writer, many-reader store of entity nodes.
 
     All mutation happens under one lock and lands atomically per
     observation: a reader never sees half of a frame's creations or
-    updates. Column caches (embeddings in float64, positions, times) back
-    the vectorized scans used by retrieval.
+    updates. Float64 columns (embedding, position, last_seen) back the
+    vectorized scans used by retrieval.
     """
 
+    _ID = "node_id"
+    _WHAT = "node"
+
     def __init__(self, cfg: Config):
-        self._cfg = cfg
-        self._lock = threading.Lock()
-        self._nodes: dict[int, EntityNode] = {}
-        self._next_id = 1
+        super().__init__(cfg)
         self._edges: set[tuple[int, int]] = set()
-        self._size = 0
-        self._emb = np.empty((0, cfg.embedding_dim), dtype=np.float64)
-        self._pos = np.empty((0, 3), dtype=np.float64)
-        self._time = np.empty(0, dtype=np.float64)
-        self._ids = np.empty(0, dtype=np.int64)
-        self._row: dict[int, int] = {}
 
-    @property
-    def cfg(self) -> Config:
-        return self._cfg
+    @staticmethod
+    def _values(node: EntityNode) -> tuple:
+        p = node.pose
+        return node.embedding, p.x, p.y, p.z, node.last_seen
 
-    @property
-    def next_id(self) -> int:
-        with self._lock:
-            return self._next_id
-
-    # ------------------------------------------------------------------
-    # accessors
-    # ------------------------------------------------------------------
-
-    def node_count(self) -> int:
-        with self._lock:
-            return len(self._nodes)
-
-    def __len__(self) -> int:
-        return self.node_count()
-
-    def get_node(self, node_id: int) -> EntityNode:
-        with self._lock:
-            try:
-                return self._nodes[node_id]
-            except KeyError:
-                raise KeyError(f"no such node: {node_id}") from None
-
-    def all_nodes(self) -> list[EntityNode]:
-        """Nodes in creation order (ascending node_id)."""
-        with self._lock:
-            return list(self._nodes.values())
+    node_count = RowStore.__len__
+    get_node = RowStore._get
+    all_nodes = RowStore._all
 
     def co_observation_edges(self) -> set[tuple[int, int]]:
         """Node pairs seen in one frame. Inert metadata; no tool reads it."""
@@ -138,9 +106,7 @@ class MemoryGraph:
     def find_matches(self, embedding: np.ndarray, pose: Pose) -> list[int]:
         """Node ids passing both gates, nearest first, id as tie-break."""
         with self._lock:
-            return self._find_matches_locked(
-                self._check_dim(embedding), pose.position()
-            )
+            return self._find_matches_locked(embedding, pose.position())
 
     def ingest_observation(self, obs: Observation) -> IngestReport:
         """Apply one observation's labels to the graph.
@@ -164,16 +130,16 @@ class MemoryGraph:
             fresh: list[EntityNode] = []
             for members in groups:
                 rep = obs.labels[members[0]]
-                rep_emb = self._check_dim(rep.embedding)
                 matched = [
                     nid
-                    for nid in self._find_matches_locked(rep_emb, p)
+                    for nid in self._find_matches_locked(rep.embedding, p)
                     if nid not in claimed
                 ]
                 k = len(members)
                 targets = matched if k >= len(matched) else matched[:k]
                 for nid in targets:
-                    pending[nid] = apply_update(self._nodes[nid], obs.pose, obs.time)
+                    row = self._cols.row_of(nid)
+                    pending[row] = apply_update(self._items[row], obs.pose, obs.time)
                     claimed.add(nid)
                     updated.append(nid)
                 for _ in range(k - len(targets)):
@@ -190,13 +156,11 @@ class MemoryGraph:
                     fresh.append(node)
                     created.append(node.node_id)
             # visibility point: apply the whole frame at once
-            for nid, node in pending.items():
-                self._nodes[nid] = node
-                row = self._row[nid]
-                self._pos[row] = (node.pose.x, node.pose.y, node.pose.z)
-                self._time[row] = node.last_seen
+            for row, node in pending.items():
+                self._items[row] = node
+                self._cols.write(row, *self._values(node))
             for node in fresh:
-                self._append(node)
+                self._add(node)
             touched = updated + created
             for i, u in enumerate(touched):
                 for v in touched[i + 1 :]:
@@ -209,42 +173,15 @@ class MemoryGraph:
 
     def top_semantic(self, q: np.ndarray, k: int) -> list[tuple[EntityNode, float]]:
         """k nodes with highest cosine similarity to ``q``, descending."""
-        with self._lock:
-            if self._size == 0:
-                return []
-            sims = np.clip(
-                row_dots(self._emb[: self._size], self._check_dim(q)), -1.0, 1.0
-            )
-            order = np.lexsort((self._ids[: self._size], -sims))[:k]
-            return [
-                (self._nodes[int(self._ids[i])], float(sims[i])) for i in order
-            ]
+        return self._top(Columns.cosine, q, k, descending=True)
 
     def top_position(self, xyz: np.ndarray, k: int) -> list[tuple[EntityNode, float]]:
         """k nodes nearest to ``xyz`` in L2 over x, y, z, ascending."""
-        with self._lock:
-            if self._size == 0:
-                return []
-            d = np.sqrt(
-                ((self._pos[: self._size] - np.asarray(xyz, dtype=np.float64)) ** 2).sum(
-                    axis=1
-                )
-            )
-            order = np.lexsort((self._ids[: self._size], d))[:k]
-            return [(self._nodes[int(self._ids[i])], float(d[i])) for i in order]
+        return self._top(Columns.distance, xyz, k)
 
     def top_time(self, t: float, k: int) -> list[tuple[EntityNode, float]]:
         """k nodes whose last_seen is closest to ``t`` in L1, ascending."""
-        with self._lock:
-            if self._size == 0:
-                return []
-            dt = np.abs(self._time[: self._size] - float(t))
-            order = np.lexsort((self._ids[: self._size], dt))[:k]
-            return [(self._nodes[int(self._ids[i])], float(dt[i])) for i in order]
-
-    # ------------------------------------------------------------------
-    # persistence support
-    # ------------------------------------------------------------------
+        return self._top(Columns.time_gap, t, k)
 
     @classmethod
     def restore(
@@ -254,43 +191,24 @@ class MemoryGraph:
         edges: Iterable[tuple[int, int]] = (),
         next_id: int | None = None,
     ) -> "MemoryGraph":
-        """Rebuild a graph from persisted node state without re-ingesting."""
-        g = cls(cfg)
-        ordered = sorted(nodes, key=lambda n: n.node_id)
-        seen: set[int] = set()
-        for node in ordered:
-            if node.node_id in seen:
-                raise ValueError(f"duplicate node_id {node.node_id}")
-            seen.add(node.node_id)
-            g._check_dim(node.embedding)
-            g._append(node)
+        """Rebuild a graph from persisted node state without re-ingesting.
+
+        ``next_id`` must exceed every node id; it defaults to one above.
+        """
+        g = cls._restored(cfg, nodes, next_id)
         g._edges = {(min(u, v), max(u, v)) for u, v in edges}
-        g._next_id = next_id if next_id is not None else (max(seen) + 1 if seen else 1)
         return g
 
     # ------------------------------------------------------------------
     # internals (call with the lock held)
     # ------------------------------------------------------------------
 
-    def _check_dim(self, embedding: np.ndarray) -> np.ndarray:
-        e = np.asarray(embedding, dtype=np.float64)
-        if e.ndim != 1 or e.shape[0] != self._cfg.embedding_dim:
-            raise ValueError(
-                f"embedding dimension mismatch: expected {self._cfg.embedding_dim}, "
-                f"got {e.shape}"
-            )
-        return e
-
-    def _find_matches_locked(self, e: np.ndarray, p: np.ndarray) -> list[int]:
-        if self._size == 0:
-            return []
-        sims = np.clip(row_dots(self._emb[: self._size], e), -1.0, 1.0)
-        d = np.sqrt(((self._pos[: self._size] - p) ** 2).sum(axis=1))
-        hit = np.nonzero((sims > self._cfg.delta_e) & (d <= self._cfg.delta_p))[0]
-        if hit.size == 0:
-            return []
-        order = np.lexsort((self._ids[hit], d[hit]))
-        return [int(self._ids[hit[i]]) for i in order]
+    def _find_matches_locked(self, e, p: np.ndarray) -> list[int]:
+        cols = self._cols
+        d = cols.distance(p)
+        hit = np.flatnonzero((cols.cosine(e) > self._cfg.delta_e) & (d <= self._cfg.delta_p))
+        order = np.lexsort((cols.ids[hit], d[hit]))
+        return cols.ids[hit[order]].tolist()
 
     def _group_labels(self, labels: Sequence) -> list[list[int]]:
         """Same-entity groups by transitive closure of the similarity gate.
@@ -307,7 +225,7 @@ class MemoryGraph:
                 i = parent[i]
             return i
 
-        mat = np.stack([self._check_dim(lab.embedding) for lab in labels])
+        mat = np.stack([check_dim(lab.embedding, self._cfg.embedding_dim) for lab in labels])
         sims = np.clip(mat @ mat.T, -1.0, 1.0)
         for i in range(n):
             for j in range(i + 1, n):
@@ -317,21 +235,3 @@ class MemoryGraph:
         for i in range(n):
             groups.setdefault(find(i), []).append(i)
         return sorted(groups.values(), key=lambda g: g[0])
-
-    def _append(self, node: EntityNode) -> None:
-        if self._size == self._emb.shape[0]:
-            extra = max(_GROW, self._size)
-            self._emb = np.concatenate(
-                [self._emb, np.empty((extra, self._cfg.embedding_dim), np.float64)]
-            )
-            self._pos = np.concatenate([self._pos, np.empty((extra, 3), np.float64)])
-            self._time = np.concatenate([self._time, np.empty(extra, np.float64)])
-            self._ids = np.concatenate([self._ids, np.empty(extra, np.int64)])
-        row = self._size
-        self._emb[row] = node.embedding.astype(np.float64)
-        self._pos[row] = (node.pose.x, node.pose.y, node.pose.z)
-        self._time[row] = node.last_seen
-        self._ids[row] = node.node_id
-        self._row[node.node_id] = row
-        self._nodes[node.node_id] = node
-        self._size += 1

@@ -39,11 +39,6 @@ class RetrievalHit:
         }
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
 def _hits(pairs) -> list[RetrievalHit]:
     return [
         RetrievalHit(
@@ -68,7 +63,6 @@ def t_semantic(
     """
     if not query:
         raise ValueError("query must be non-empty")
-    _check_k(k)
     return _hits(graph.top_semantic(provider.embed(query), k))
 
 
@@ -78,7 +72,6 @@ def t_position(
     """k nodes nearest to (x, y, z), nearest first. Yaw plays no part."""
     if not all(math.isfinite(v) for v in (x, y, z)):
         raise ValueError(f"coordinates must be finite, got ({x}, {y}, {z})")
-    _check_k(k)
     return _hits(graph.top_position(np.array((x, y, z), dtype=np.float64), k))
 
 
@@ -96,5 +89,4 @@ def time_components_to_seconds(hh: int, mm: int, ss: int) -> float:
 def t_time(graph: MemoryGraph, hh: int, mm: int, ss: int, k: int) -> list[RetrievalHit]:
     """k nodes whose last-seen time is closest to hh:mm:ss, closest first."""
     t = time_components_to_seconds(hh, mm, ss)
-    _check_k(k)
     return _hits(graph.top_time(t, k))

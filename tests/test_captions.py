@@ -129,6 +129,15 @@ class TestQueries:
         got_b = [(h.score, h.text) for h in b.query_text(q, 25)]
         assert got_a == got_b
 
+    def test_restore_rejects_next_id_at_or_below_a_stored_id(self, cfg64):
+        records = filled_store(cfg64, 3).all_records()
+        for bad in (0, 2, 3):
+            with pytest.raises(ValueError, match="next_id"):
+                CaptionStore.restore(cfg64, records, next_id=bad)
+        with pytest.raises(ValueError, match="next_id"):
+            CaptionStore.restore(cfg64, [], next_id=0)
+        assert CaptionStore.restore(cfg64, records, next_id=9).next_id == 9
+
     def test_restore_round_trip(self, cfg64):
         store = filled_store(cfg64, 10)
         clone = CaptionStore.restore(cfg64, store.all_records())

@@ -370,3 +370,20 @@ class TestRestore:
         n = node_at(1, prov.embed("x"), Pose(0.0, 0.0))
         with pytest.raises(ValueError, match="duplicate"):
             MemoryGraph.restore(cfg64, [n, n])
+
+    def test_next_id_at_or_below_a_stored_id_rejected(self, cfg64, prov):
+        # an accepted next_id=2 re-issued id 5 on the fourth new node
+        node = node_at(5, prov.embed("a"), Pose(0.0, 0.0))
+        for bad in (2, 5, 0):
+            with pytest.raises(ValueError, match="next_id"):
+                MemoryGraph.restore(cfg64, [node], next_id=bad)
+        with pytest.raises(ValueError, match="next_id"):
+            MemoryGraph.restore(cfg64, [], next_id=0)
+        g = MemoryGraph.restore(cfg64, [node], next_id=6)
+        for i in range(4):
+            g.ingest_observation(
+                obs_with([Label(f"b{i}", prov.embed(f"b{i}"))], pose=Pose(100.0 * (i + 1), 0.0))
+            )
+        assert [n.node_id for n in g.all_nodes()] == [5, 6, 7, 8, 9]
+        assert g.get_node(5) is node
+        assert g.top_semantic(node.embedding, 1)[0][0] is node

@@ -129,6 +129,14 @@ class TestRoundTrip:
 
 
 class TestCorruption:
+    def test_colliding_next_id_refused(self, tmp_path):
+        state = build_state(n_nodes=5, n_captions=3)
+        state.graph._next_id = 3  # below the stored ids 1..7
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(state, path)
+        with pytest.raises(SnapshotError, match="next_id"):
+            load_snapshot(path)
+
     def test_truncated_payload_refused(self, tmp_path):
         state = build_state(n_nodes=5, n_captions=3)
         path = tmp_path / "s.lgrsnap"
