@@ -8,12 +8,11 @@ admit an ANN index, but approximate retrieval is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .columns import Columns, RowStore
-from .model import Config, Observation, Pose, ensure_valid
+from .model import Observation, Pose, ensure_valid
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,19 +95,6 @@ class CaptionStore(RowStore):
     def query_time(self, t: float, k: int) -> list[CaptionHit]:
         """Top-k by ascending absolute time difference."""
         return self._hits(Columns.time_gap, t, k)
-
-    @classmethod
-    def restore(
-        cls,
-        cfg: Config,
-        records: Iterable[CaptionRecord],
-        next_id: int | None = None,
-    ) -> "CaptionStore":
-        """Rebuild a store from persisted records.
-
-        ``next_id`` must exceed every record id; it defaults to one above.
-        """
-        return cls._restored(cfg, records, next_id)
 
     def _hits(self, score, arg, k: int, descending: bool = False) -> list[CaptionHit]:
         return [

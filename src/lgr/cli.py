@@ -16,22 +16,15 @@ from typing import Optional, Sequence
 from .embedding import EmbeddingProvider, FixtureProvider, HashProvider, load_fixture_table
 from .evalharness import evaluate, load_qa_items
 from .logio import LogParseError, load_log
-from .model import Config, Pose
+from .model import Config
 from .router import Router, RuleBasedPlanner, fallback_percentage
 from .snapshot import SessionState, SnapshotError, load_snapshot, save_snapshot
-from .tools import t_position, t_semantic, t_time
+from .tools import TOOLS
 
 CONFIG_ENV_VAR = "LGR_CONFIG"
 
-QUERY_TOOLS = (
-    "semantic",
-    "position",
-    "time",
-    "captions-text",
-    "captions-position",
-    "captions-time",
-    "route",
-)
+_QUERY_TOOLS = {t.cli_name: t for t in TOOLS}
+QUERY_TOOLS = (*_QUERY_TOOLS, "route")
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -63,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="run one retrieval tool on a snapshot")
     p_query.add_argument("snapshot")
     p_query.add_argument("tool", help="one of: " + ", ".join(QUERY_TOOLS))
-    p_query.add_argument("--query", help="text query (semantic, captions-text, route)")
+    text_tools = [t.cli_name for t in TOOLS if ("query", "string") in t.params]
+    p_query.add_argument("--query", help=f"text query ({', '.join(text_tools)}, route)")
     p_query.add_argument("--x", type=float)
     p_query.add_argument("--y", type=float)
     p_query.add_argument("--z", type=float, default=0.0)
@@ -176,33 +170,16 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.provider is not None:
         provider = resolve_provider(args.provider, cfg, args.seed)
     k = args.k if args.k is not None else cfg.default_k
-    tool = args.tool
-    if tool == "semantic":
-        _require(args, ("query",), tool)
-        hits = t_semantic(state.graph, provider, args.query, k)
-        _print([h.to_dict() for h in hits])
-    elif tool == "position":
-        _require(args, ("x", "y"), tool)
-        hits = t_position(state.graph, args.x, args.y, args.z, k)
-        _print([h.to_dict() for h in hits])
-    elif tool == "time":
-        _require(args, ("hh", "mm", "ss"), tool)
-        hits = t_time(state.graph, args.hh, args.mm, args.ss, k)
-        _print([h.to_dict() for h in hits])
-    elif tool == "captions-text":
-        _require(args, ("query",), tool)
-        hits = state.captions.query_text(provider.embed(args.query), k)
-        _print([h.to_dict() for h in hits])
-    elif tool == "captions-position":
-        _require(args, ("x", "y"), tool)
-        hits = state.captions.query_position(Pose(args.x, args.y, args.z), k)
-        _print([h.to_dict() for h in hits])
-    elif tool == "captions-time":
-        _require(args, ("t",), tool)
-        hits = state.captions.query_time(args.t, k)
+    tool = _QUERY_TOOLS.get(args.tool)
+    if tool is not None:
+        names = [n for n, _ in tool.params if n != "k"]
+        _require(args, names, args.tool)
+        hits = tool.run(
+            state.graph, state.captions, provider, k=k, **{n: getattr(args, n) for n in names}
+        )
         _print([h.to_dict() for h in hits])
     else:  # route
-        _require(args, ("query",), tool)
+        _require(args, ("query",), args.tool)
         router = Router(
             state.graph,
             state.captions,

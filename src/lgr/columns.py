@@ -164,10 +164,12 @@ class RowStore:
             return [(self._items[r], v) for r, v in zip(rows.tolist(), s[rows].tolist())]
 
     @classmethod
-    def _restored(cls, cfg: Config, items: Iterable, next_id: int | None):
-        """A store holding ``items``, every column allocated once with as
-        much headroom as rows. ``next_id`` defaults to one above the
-        largest id and must exceed it when given."""
+    def restore(cls, cfg: Config, items: Iterable, next_id: int | None = None):
+        """Rebuild a store from persisted items without re-ingesting.
+
+        Every column is allocated once, with as much headroom as rows.
+        ``next_id`` must exceed every stored id; it defaults to one above.
+        """
         store = cls(cfg)
         store._items = ordered = sorted(items, key=attrgetter(cls._ID))
         n, dim = len(ordered), cfg.embedding_dim

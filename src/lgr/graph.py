@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .columns import Columns, RowStore, check_dim
-from .model import Config, Observation, Pose, ensure_valid
+from .model import Observation, Pose, ensure_valid
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +81,6 @@ class MemoryGraph(RowStore):
     _ID = "node_id"
     _WHAT = "node"
 
-    def __init__(self, cfg: Config):
-        super().__init__(cfg)
-        self._edges: set[tuple[int, int]] = set()
-
     @staticmethod
     def _values(node: EntityNode) -> tuple:
         p = node.pose
@@ -93,11 +89,6 @@ class MemoryGraph(RowStore):
     node_count = RowStore.__len__
     get_node = RowStore._get
     all_nodes = RowStore._all
-
-    def co_observation_edges(self) -> set[tuple[int, int]]:
-        """Node pairs seen in one frame. Inert metadata; no tool reads it."""
-        with self._lock:
-            return set(self._edges)
 
     # ------------------------------------------------------------------
     # matching and ingest
@@ -161,10 +152,6 @@ class MemoryGraph(RowStore):
                 self._cols.write(row, *self._values(node))
             for node in fresh:
                 self._add(node)
-            touched = updated + created
-            for i, u in enumerate(touched):
-                for v in touched[i + 1 :]:
-                    self._edges.add((min(u, v), max(u, v)))
             return IngestReport(tuple(created), tuple(updated), len(obs.labels))
 
     # ------------------------------------------------------------------
@@ -182,22 +169,6 @@ class MemoryGraph(RowStore):
     def top_time(self, t: float, k: int) -> list[tuple[EntityNode, float]]:
         """k nodes whose last_seen is closest to ``t`` in L1, ascending."""
         return self._top(Columns.time_gap, t, k)
-
-    @classmethod
-    def restore(
-        cls,
-        cfg: Config,
-        nodes: Iterable[EntityNode],
-        edges: Iterable[tuple[int, int]] = (),
-        next_id: int | None = None,
-    ) -> "MemoryGraph":
-        """Rebuild a graph from persisted node state without re-ingesting.
-
-        ``next_id`` must exceed every node id; it defaults to one above.
-        """
-        g = cls._restored(cfg, nodes, next_id)
-        g._edges = {(min(u, v), max(u, v)) for u, v in edges}
-        return g
 
     # ------------------------------------------------------------------
     # internals (call with the lock held)

@@ -89,18 +89,27 @@ class LogRecord:
         return out
 
 
+def _list_field(obj: dict, key: str, default):
+    """``obj[key]`` when it is a list, ``default`` when the key is absent or
+    holds ``default``; any other value raises ``TypeError``."""
+    value = obj.get(key, default)
+    if value is default or isinstance(value, list):
+        return value
+    raise TypeError(f"{key} must be a list, got {type(value).__name__}")
+
+
 def _parse_record(obj: dict, where: str) -> LogRecord:
     try:
         frame_id = str(obj["frame_id"])
         t = float(obj["t"])
         pose = Pose.from_dict(obj["pose"])
-        labels = tuple(str(x) for x in obj.get("labels", []))
+        labels = tuple(str(x) for x in _list_field(obj, "labels", []))
         caption = str(obj.get("caption", ""))
+        encoded = _list_field(obj, "label_embeddings", None)
     except (KeyError, TypeError, ValueError) as exc:
         raise LogParseError(f"{where}: bad record: {exc}") from None
     label_embeddings = None
-    if "label_embeddings" in obj and obj["label_embeddings"] is not None:
-        encoded = obj["label_embeddings"]
+    if encoded is not None:
         if len(encoded) != len(labels):
             raise LogParseError(
                 f"{where}: {len(encoded)} label_embeddings for {len(labels)} labels"
@@ -181,17 +190,9 @@ def subsample(records: Sequence[LogRecord], period: float) -> list[LogRecord]:
 
 
 def record_to_observation(
-    record: LogRecord,
-    cfg: Config,
-    provider: EmbeddingProvider,
-    caption_provider: Optional[EmbeddingProvider] = None,
+    record: LogRecord, cfg: Config, provider: EmbeddingProvider
 ) -> Observation:
-    """Embed missing vectors, normalize yaw, and validate the result.
-
-    One provider normally serves both labels and captions; pass a second
-    provider to split them.
-    """
-    cap_provider = caption_provider if caption_provider is not None else provider
+    """Embed missing vectors, normalize yaw, and validate the result."""
     labels = []
     for i, text in enumerate(record.labels):
         if not text:
@@ -206,7 +207,7 @@ def record_to_observation(
         emb = (
             record.caption_embedding
             if record.caption_embedding is not None
-            else cap_provider.embed(record.caption)
+            else provider.embed(record.caption)
         )
         caption = Caption(text=record.caption, embedding=emb)
     pose = Pose(
@@ -227,10 +228,7 @@ def record_to_observation(
 
 
 def load_log(
-    path: str | Path,
-    cfg: Config,
-    provider: EmbeddingProvider,
-    caption_provider: Optional[EmbeddingProvider] = None,
+    path: str | Path, cfg: Config, provider: EmbeddingProvider
 ) -> Iterator[Observation]:
     """Parse, subsample, embed, and validate a log file.
 
@@ -239,4 +237,4 @@ def load_log(
     """
     records = read_log_records(path)
     for record in subsample(records, cfg.subsample_period):
-        yield record_to_observation(record, cfg, provider, caption_provider)
+        yield record_to_observation(record, cfg, provider)

@@ -13,16 +13,17 @@ import re
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .captions import CaptionHit, CaptionStore
 from .embedding import EmbeddingProvider
 from .graph import MemoryGraph
 from .model import Config, Pose
-from .tools import RetrievalHit, t_position, t_semantic, t_time, time_components_to_seconds
+from .tools import TOOLS, RetrievalHit, time_components_to_seconds
 
-GRAPH_TOOLS = ("t_semantic", "t_position", "t_time")
-VECTOR_TOOLS = ("captions_text", "captions_position", "captions_time")
+GRAPH_TOOLS = tuple(t.name for t in TOOLS if not t.vector)
+VECTOR_TOOLS = tuple(t.name for t in TOOLS if t.vector)
 
 
 # ----------------------------------------------------------------------
@@ -176,9 +177,10 @@ class _ToolEntry:
 class Router:
     """Dispatches planner actions against the two memory stores.
 
-    The six built-in tools mirror the CLI surface one-to-one; additional
-    tools can be registered so an external LLM adapter can mount the same
-    loop. Tool handlers are read-only with respect to the stores.
+    The six built-in tools are registered from ``tools.TOOLS``, the table
+    ``lgr query`` also reads; additional tools can be registered so an
+    external LLM adapter can mount the same loop. Tool handlers are
+    read-only with respect to the stores.
     """
 
     def __init__(
@@ -190,14 +192,14 @@ class Router:
         cfg: Optional[Config] = None,
         stats: Optional[SessionStats] = None,
     ):
-        self._graph = graph
-        self._captions = captions
-        self._provider = provider
         self._planner = planner
         self._cfg = cfg if cfg is not None else graph.cfg
         self.stats = stats if stats is not None else SessionStats()
         self._tools: dict[str, _ToolEntry] = {}
-        self._register_builtin_tools()
+        for t in TOOLS:
+            self.register_tool(
+                t.name, t.schema(), partial(t.run, graph, captions, provider), t.vector
+            )
 
     # -- tool registry -------------------------------------------------
 
@@ -280,84 +282,6 @@ class Router:
         except Exception as exc:  # planner mistakes must not kill the loop
             return ToolResult(call.tool, args, None, str(exc), entry.vector)
         return ToolResult(call.tool, args, hits, None, entry.vector)
-
-    def _register_builtin_tools(self) -> None:
-        g, c, p = self._graph, self._captions, self._provider
-        self.register_tool(
-            "t_semantic",
-            {
-                "description": "top-k graph nodes by semantic similarity to a text query",
-                "params": [
-                    {"name": "query", "type": "string"},
-                    {"name": "k", "type": "integer"},
-                ],
-            },
-            lambda query, k: t_semantic(g, p, query, k),
-        )
-        self.register_tool(
-            "t_position",
-            {
-                "description": "top-k graph nodes nearest to a position (meters)",
-                "params": [
-                    {"name": "x", "type": "number"},
-                    {"name": "y", "type": "number"},
-                    {"name": "z", "type": "number"},
-                    {"name": "k", "type": "integer"},
-                ],
-            },
-            lambda x, y, z, k: t_position(g, x, y, z, k),
-        )
-        self.register_tool(
-            "t_time",
-            {
-                "description": "top-k graph nodes last seen closest to hh:mm:ss",
-                "params": [
-                    {"name": "hh", "type": "integer"},
-                    {"name": "mm", "type": "integer"},
-                    {"name": "ss", "type": "integer"},
-                    {"name": "k", "type": "integer"},
-                ],
-            },
-            lambda hh, mm, ss, k: t_time(g, hh, mm, ss, k),
-        )
-        self.register_tool(
-            "captions_text",
-            {
-                "description": "top-k scene captions by semantic similarity to a text query",
-                "params": [
-                    {"name": "query", "type": "string"},
-                    {"name": "k", "type": "integer"},
-                ],
-            },
-            lambda query, k: c.query_text(p.embed(query), k),
-            vector=True,
-        )
-        self.register_tool(
-            "captions_position",
-            {
-                "description": "top-k scene captions recorded nearest to a position",
-                "params": [
-                    {"name": "x", "type": "number"},
-                    {"name": "y", "type": "number"},
-                    {"name": "z", "type": "number"},
-                    {"name": "k", "type": "integer"},
-                ],
-            },
-            lambda x, y, z, k: c.query_position(Pose(x, y, z), k),
-            vector=True,
-        )
-        self.register_tool(
-            "captions_time",
-            {
-                "description": "top-k scene captions recorded closest to a session time (seconds)",
-                "params": [
-                    {"name": "t", "type": "number"},
-                    {"name": "k", "type": "integer"},
-                ],
-            },
-            lambda t, k: c.query_time(t, k),
-            vector=True,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -135,7 +135,6 @@ def save_snapshot(state: SessionState, path: str | Path) -> None:
         "graph": {
             "next_id": state.graph.next_id,
             "nodes": [_node_to_dict(n) for n in state.graph.all_nodes()],
-            "edges": sorted(list(e) for e in state.graph.co_observation_edges()),
         },
         "captions": {
             "next_id": state.captions.next_id,
@@ -180,16 +179,19 @@ def load_snapshot(path: str | Path) -> SessionState:
         header = json.loads(raw[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"{path}: bad snapshot header: {exc}") from None
-    if header.get("format") != FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise SnapshotError(f"{path}: not a {FORMAT_NAME} file")
-    version = header.get("version", [])
-    if not version or int(version[0]) > FORMAT_VERSION[0]:
+    try:
+        version = [int(v) for v in header.get("version", [])]
+        expected_len = int(header.get("payload_bytes", -1))
+    except (TypeError, ValueError) as exc:
+        raise SnapshotError(f"{path}: bad snapshot header: {exc}") from None
+    if not version or version[0] > FORMAT_VERSION[0]:
         raise SnapshotError(
             f"{path}: snapshot version {version} is newer than supported "
             f"{list(FORMAT_VERSION)}"
         )
     body = raw[newline + 1 :]
-    expected_len = int(header.get("payload_bytes", -1))
     if len(body) != expected_len:
         raise SnapshotError(
             f"{path}: truncated payload ({len(body)} bytes, expected {expected_len})"
@@ -202,16 +204,13 @@ def load_snapshot(path: str | Path) -> SessionState:
         cfg = Config.from_dict(payload["config"])
         provider = provider_from_spec(payload["provider"])
         nodes = [_node_from_dict(d) for d in payload["graph"]["nodes"]]
-        edges = [(int(u), int(v)) for u, v in payload["graph"].get("edges", [])]
-        graph = MemoryGraph.restore(
-            cfg, nodes, edges, next_id=int(payload["graph"]["next_id"])
-        )
+        graph = MemoryGraph.restore(cfg, nodes, next_id=int(payload["graph"]["next_id"]))
         records = [_record_from_dict(d) for d in payload["captions"]["records"]]
         captions = CaptionStore.restore(
             cfg, records, next_id=int(payload["captions"]["next_id"])
         )
         stats = SessionStats.from_dict(payload.get("stats", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path}: malformed snapshot payload: {exc}") from None
     return SessionState(
         cfg=cfg, provider=provider, graph=graph, captions=captions, stats=stats

@@ -1,14 +1,16 @@
-"""On-graph retrieval tools: semantic, positional, and temporal top-k.
+"""Retrieval tools: semantic, positional, and temporal top-k over both stores.
 
 These are the callable surface a planner invokes. Pure top-k, no
 relevance threshold: filtering weak hits is planner policy, not tool
-policy. All three read one consistent graph snapshot per call.
+policy. Each call reads one consistent store snapshot. ``TOOLS`` declares
+all six tools once; the router, its planner and ``lgr query`` read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,3 +92,84 @@ def t_time(graph: MemoryGraph, hh: int, mm: int, ss: int, k: int) -> list[Retrie
     """k nodes whose last-seen time is closest to hh:mm:ss, closest first."""
     t = time_components_to_seconds(hh, mm, ss)
     return _hits(graph.top_time(t, k))
+
+
+@dataclass(frozen=True)
+class Tool:
+    """One built-in tool as a planner sees it.
+
+    ``params`` are (name, JSON type) pairs in call order, ``k`` last;
+    ``vector`` marks the caption-store tools; ``run(graph, captions,
+    provider, **args)`` answers one call with a list of hits.
+    """
+
+    name: str
+    description: str
+    params: tuple[tuple[str, str], ...]
+    vector: bool
+    run: Callable[..., list]
+
+    @property
+    def cli_name(self) -> str:
+        """The ``lgr query`` name: ``t_semantic`` -> ``semantic``."""
+        return self.name.removeprefix("t_").replace("_", "-")
+
+    def schema(self) -> dict:
+        """Description and typed params, as ``Router.tool_schemas`` lists them."""
+        return {
+            "description": self.description,
+            "params": [{"name": n, "type": t} for n, t in self.params],
+        }
+
+
+_TEXT = (("query", "string"), ("k", "integer"))
+_XYZ = (("x", "number"), ("y", "number"), ("z", "number"), ("k", "integer"))
+
+TOOLS: tuple[Tool, ...] = (
+    Tool(
+        "t_semantic",
+        "top-k graph nodes by semantic similarity to a text query",
+        _TEXT,
+        False,
+        lambda graph, captions, provider, query, k: t_semantic(graph, provider, query, k),
+    ),
+    Tool(
+        "t_position",
+        "top-k graph nodes nearest to a position (meters)",
+        _XYZ,
+        False,
+        lambda graph, captions, provider, x, y, z, k: t_position(graph, x, y, z, k),
+    ),
+    Tool(
+        "t_time",
+        "top-k graph nodes last seen closest to hh:mm:ss",
+        (("hh", "integer"), ("mm", "integer"), ("ss", "integer"), ("k", "integer")),
+        False,
+        lambda graph, captions, provider, hh, mm, ss, k: t_time(graph, hh, mm, ss, k),
+    ),
+    Tool(
+        "captions_text",
+        "top-k scene captions by semantic similarity to a text query",
+        _TEXT,
+        True,
+        lambda graph, captions, provider, query, k: captions.query_text(
+            provider.embed(query), k
+        ),
+    ),
+    Tool(
+        "captions_position",
+        "top-k scene captions recorded nearest to a position",
+        _XYZ,
+        True,
+        lambda graph, captions, provider, x, y, z, k: captions.query_position(
+            Pose(x, y, z), k
+        ),
+    ),
+    Tool(
+        "captions_time",
+        "top-k scene captions recorded closest to a session time (seconds)",
+        (("t", "number"), ("k", "integer")),
+        True,
+        lambda graph, captions, provider, t, k: captions.query_time(t, k),
+    ),
+)

@@ -141,6 +141,14 @@ class TestQuery:
         assert code == 1
         assert "--query" in err
 
+    def test_malformed_snapshot_header(self, tmp_path, capsys):
+        bad = tmp_path / "bad.lgrsnap"
+        bad.write_bytes(b"[1, 2]\n{}")
+        for argv in (["query", bad, "semantic", "--query", "x"], ["stats", bad]):
+            code, _, err = run(capsys, *argv)
+            assert code == 1
+            assert err.startswith("error:")
+
     def test_missing_snapshot(self, tmp_path, capsys):
         code, _, err = run(capsys, "query", tmp_path / "none", "semantic", "--query", "x")
         assert code == 1

@@ -289,12 +289,13 @@ class TestIngest:
 
     def test_created_visible_atomically_with_edges(self, cfg64, prov):
         g = MemoryGraph(cfg64)
-        g.ingest_observation(
+        report = g.ingest_observation(
             obs_with(
                 [Label("cup", prov.embed("cup")), Label("door", prov.embed("door"))]
             )
         )
-        assert g.co_observation_edges() == {(1, 2)}
+        assert report.created == (1, 2)
+        assert [n.label_text for n in g.all_nodes()] == ["cup", "door"]
 
     def test_label_free_observation_is_a_noop(self, cfg64):
         g = MemoryGraph(cfg64)
@@ -359,7 +360,7 @@ class TestConcurrentReaders:
 class TestRestore:
     def test_round_trip_node_state(self, cfg64):
         g = random_graph(20, cfg64, seed=5)
-        clone = MemoryGraph.restore(cfg64, g.all_nodes(), g.co_observation_edges())
+        clone = MemoryGraph.restore(cfg64, g.all_nodes())
         assert clone.node_count() == 20
         assert clone.next_id == g.next_id
         for a, b in zip(g.all_nodes(), clone.all_nodes()):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import DIM, unit_rows
 from lgr import (
     Config,
-    HashProvider,
     LogParseError,
     LogRecord,
     Pose,
@@ -111,6 +110,24 @@ class TestReadWrite:
         with pytest.raises(LogParseError, match="label_embeddings"):
             read_log_records(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("labels", "abc"),  # was split into the labels 'a', 'b', 'c'
+            ("labels", {"a": 1}),
+            ("label_embeddings", 5),  # was an uncaught TypeError
+            ("label_embeddings", "abc"),
+        ],
+    )
+    def test_mistyped_list_field_reports_line(self, tmp_path, field, value):
+        obj = rec("f1", 1.0, labels=["a", "b", "c"]).to_json_dict()
+        obj[field] = value
+        path = tmp_path / "log.jsonl"
+        first = json.dumps(rec("f0", 0.0).to_json_dict())
+        path.write_text(first + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(LogParseError, match=rf"log\.jsonl:2: .*{field} must be a list"):
+            read_log_records(path)
+
 
 class TestSubsample:
     def test_ten_hz_ten_seconds_keeps_six(self):
@@ -153,16 +170,6 @@ class TestRecordToObservation:
             provider64,
         )
         assert np.array_equal(obs.labels[0].embedding, emb)
-
-    def test_separate_caption_provider(self, cfg64, provider64):
-        other = HashProvider(seed=99, dim=DIM)
-        obs = record_to_observation(
-            rec("f0", 1.0, labels=["cup"], caption="a cup"),
-            cfg64,
-            provider64,
-            caption_provider=other,
-        )
-        assert np.array_equal(obs.caption.embedding, other.embed("a cup"))
 
     def test_yaw_normalized_on_load(self, cfg64, provider64):
         obs = record_to_observation(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -31,7 +32,7 @@ def build_state(seed: int = 17, n_nodes: int = 40, n_captions: int = 25) -> Sess
     provider = HashProvider(seed=seed, dim=DIM)
     state = SessionState.new(cfg, provider)
     state.graph = random_graph(n_nodes, cfg, seed=seed)
-    state.graph.ingest_observation(  # a co-observed pair, so edges exist
+    state.graph.ingest_observation(  # two labels created in one frame
         Observation(
             frame_id="pair",
             pose=Pose(500.0, 500.0),
@@ -98,7 +99,6 @@ class TestRoundTrip:
         assert loaded.captions.record_count() == state.captions.record_count()
         assert loaded.stats == state.stats
         assert loaded.graph.next_id == state.graph.next_id
-        assert loaded.graph.co_observation_edges() == state.graph.co_observation_edges()
 
     def test_retrieval_identical_after_round_trip(self, tmp_path):
         state = build_state()
@@ -115,6 +115,20 @@ class TestRoundTrip:
         save_snapshot(state, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_format_1_0_file_with_edges_loads(self, tmp_path):
+        # files written before the co-observation edge set was dropped
+        # carry a "graph.edges" list; loading ignores it
+        state = build_state()
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(state, path)
+        payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
+        assert "edges" not in payload["graph"]
+        payload["graph"]["edges"] = [[1, 2]]
+        write_framed(path, payload)
+        loaded = load_snapshot(path)
+        assert loaded.graph.node_count() == state.graph.node_count()
+        assert query_fingerprint(loaded) == query_fingerprint(state)
+
     def test_fixture_provider_survives(self, tmp_path):
         cfg = Config(embedding_dim=DIM)
         table = {"cup": unit_rows(1, DIM, seed=2)[0]}
@@ -126,6 +140,18 @@ class TestRoundTrip:
         assert isinstance(loaded.provider, FixtureProvider)
         assert np.array_equal(loaded.provider.embed("cup"), provider.embed("cup"))
         assert np.array_equal(loaded.provider.embed("new"), provider.embed("new"))
+
+
+def write_framed(path, payload: dict, version=(1, 0)) -> None:
+    """Write ``payload`` under a hand-built header with a correct SHA-256."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    header = {
+        "format": "lgr-snapshot",
+        "version": list(version),
+        "payload_bytes": len(body),
+        "payload_sha256": hashlib.sha256(body).hexdigest(),
+    }
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
 class TestCorruption:
@@ -182,6 +208,33 @@ class TestCorruption:
         path = tmp_path / "s.lgrsnap"
         path.write_bytes(b"garbage with no newline")
         with pytest.raises(SnapshotError, match="header"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"[1, 2]",  # valid JSON, not an object: was AttributeError
+            b'"lgr-snapshot"',
+            b'{"format": "lgr-snapshot", "version": ["one", 0]}',  # was ValueError
+            b'{"format": "lgr-snapshot", "version": 1}',
+            b'{"format": "lgr-snapshot", "version": [1, 0], "payload_bytes": "many"}',
+            b'{"format": "lgr-snapshot", "version": [1, 0], "payload_bytes": null}',
+        ],
+    )
+    def test_malformed_header_refused(self, tmp_path, header):
+        path = tmp_path / "s.lgrsnap"
+        path.write_bytes(header + b"\n{}")
+        with pytest.raises(SnapshotError):
+            load_snapshot(path)
+
+    def test_mistyped_payload_section_refused(self, tmp_path):
+        state = build_state(n_nodes=2, n_captions=1)
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(state, path)
+        payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
+        payload["stats"] = []  # was AttributeError
+        write_framed(path, payload)
+        with pytest.raises(SnapshotError, match="malformed"):
             load_snapshot(path)
 
 
