@@ -72,7 +72,7 @@ class CaptionStore(RowStore):
             record = CaptionRecord(
                 record_id=self._next_id,
                 text=obs.caption.text,
-                embedding=obs.caption.embedding,
+                embedding=np.asarray(obs.caption.embedding, np.float32),
                 pose=obs.pose,
                 time=obs.time,
             )

@@ -222,6 +222,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     stats = state.stats
     _print(
         {
+            "format_version": ".".join(map(str, state.format_version)),
             "nodes": state.graph.node_count(),
             "caption_records": state.captions.record_count(),
             "n_queries": stats.n_queries,

@@ -18,6 +18,7 @@ from .embedding import row_dots
 from .model import Config
 
 _GROW = 64
+_F32 = np.dtype(np.float32)
 
 
 def check_dim(embedding, dim: int) -> np.ndarray:
@@ -188,6 +189,8 @@ class RowStore:
         for row, v in enumerate(values):
             if v[0].shape != (dim,):
                 raise _dim_error(dim, v[0].shape)
+            if v[0].dtype != _F32:
+                raise ValueError(f"{cls._WHAT} embeddings must be float32, got {v[0].dtype}")
             cols.emb[row] = v[0]
         for i, col in enumerate((cols.x, cols.y, cols.z, cols.time), 1):
             col[:n] = np.fromiter((v[i] for v in values), np.float64, n)

@@ -137,7 +137,7 @@ class MemoryGraph(RowStore):
                     node = EntityNode(
                         node_id=self._next_id,
                         label_text=rep.text,
-                        embedding=rep.embedding,
+                        embedding=np.asarray(rep.embedding, np.float32),
                         pose=obs.pose,
                         first_seen=obs.time,
                         last_seen=obs.time,

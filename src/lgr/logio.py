@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -103,8 +103,11 @@ def _parse_record(obj: dict, where: str) -> LogRecord:
         frame_id = str(obj["frame_id"])
         t = float(obj["t"])
         pose = Pose.from_dict(obj["pose"])
-        labels = tuple(str(x) for x in _list_field(obj, "labels", []))
-        caption = str(obj.get("caption", ""))
+        labels = tuple(_list_field(obj, "labels", []))
+        caption = obj.get("caption", "")
+        for text in (*labels, caption):
+            if not isinstance(text, str):
+                raise TypeError(f"labels and caption must be strings, got {type(text).__name__}")
         encoded = _list_field(obj, "label_embeddings", None)
     except (KeyError, TypeError, ValueError) as exc:
         raise LogParseError(f"{where}: bad record: {exc}") from None
@@ -135,10 +138,9 @@ def _parse_record(obj: dict, where: str) -> LogRecord:
     )
 
 
-def read_log_records(path: str | Path) -> list[LogRecord]:
-    """Parse a log file, enforcing non-decreasing timestamps."""
+def _iter_log_records(path: str | Path) -> Iterator[LogRecord]:
+    """Parse a log file line by line, enforcing non-decreasing timestamps."""
     path = Path(path)
-    records: list[LogRecord] = []
     prev_t: Optional[float] = None
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -159,8 +161,12 @@ def read_log_records(path: str | Path) -> list[LogRecord]:
                     f"(got {record.t} after {prev_t})"
                 )
             prev_t = record.t
-            records.append(record)
-    return records
+            yield record
+
+
+def read_log_records(path: str | Path) -> list[LogRecord]:
+    """Parse a whole log file, enforcing non-decreasing timestamps."""
+    return list(_iter_log_records(path))
 
 
 def write_log(records: Iterable[LogRecord], path: str | Path) -> None:
@@ -172,7 +178,7 @@ def write_log(records: Iterable[LogRecord], path: str | Path) -> None:
             fh.write("\n")
 
 
-def subsample(records: Sequence[LogRecord], period: float) -> list[LogRecord]:
+def subsample(records: Iterable[LogRecord], period: float) -> list[LogRecord]:
     """Keep the first record, then one per ``period`` seconds at most.
 
     A record survives iff its t is at least ``period`` past the last kept
@@ -232,9 +238,10 @@ def load_log(
 ) -> Iterator[Observation]:
     """Parse, subsample, embed, and validate a log file.
 
-    Yields observations in log order; embedding work happens only for the
-    frames that survive subsampling.
+    Yields observations in log order. The first ``next()`` parses and
+    checks every line but holds only the records that survive
+    subsampling; embedding work happens only for those.
     """
-    records = read_log_records(path)
-    for record in subsample(records, cfg.subsample_period):
+    kept = subsample(_iter_log_records(path), cfg.subsample_period)
+    for record in kept:
         yield record_to_observation(record, cfg, provider)

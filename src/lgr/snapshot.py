@@ -1,11 +1,19 @@
 """Versioned, checksummed persistence for a whole session.
 
-Layout: one JSON header line naming the format, version, payload length,
-and payload SHA-256, followed by the JSON payload itself. Loading
-verifies the frame before any state is constructed, so a corrupt or
-truncated file can never leave partial state behind. Vectors travel as
-base64 little-endian float32, which keeps retrieval bit-identical across
+Format 2.0 layout: one JSON header line (format name, version, payload
+length ``payload_bytes``, meta length ``meta_bytes`` and the payload
+SHA-256), then the payload: the meta JSON (config, provider, node and
+record fields other than embeddings, next ids, stats), the graph block
+and the caption block. Each block holds the embeddings as row-major
+little-endian float32, in id order, ``count * embedding_dim * 4`` bytes.
+Both stores keep float32 embeddings, so retrieval is bit-identical across
 a save/load round trip.
+
+Loading verifies the frame, the lengths and the checksum before any
+state is constructed, so a corrupt or truncated file can never leave
+partial state behind; loaded items hold read-only row views of the
+blocks. Format 1.x files, whose payload is one JSON document with base64
+vectors inline, still load; saves always write the current format.
 """
 
 from __future__ import annotations
@@ -15,6 +23,9 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
+
 from .captions import CaptionRecord, CaptionStore
 from .embedding import EmbeddingProvider, FixtureProvider, HashProvider
 from .graph import EntityNode, MemoryGraph
@@ -23,7 +34,8 @@ from .model import Config, Pose
 from .router import SessionStats
 
 FORMAT_NAME = "lgr-snapshot"
-FORMAT_VERSION = (1, 0)
+FORMAT_VERSION = (2, 0)
+_CHUNK = 1024  # embedding rows converted and hashed at a time on save
 
 
 class SnapshotError(RuntimeError):
@@ -39,6 +51,7 @@ class SessionState:
     graph: MemoryGraph
     captions: CaptionStore
     stats: SessionStats
+    format_version: tuple[int, ...] = FORMAT_VERSION  # of the file it was loaded from
 
     @classmethod
     def new(cls, cfg: Config, provider: EmbeddingProvider) -> "SessionState":
@@ -87,7 +100,6 @@ def _node_to_dict(node: EntityNode) -> dict:
     return {
         "node_id": node.node_id,
         "label_text": node.label_text,
-        "embedding": encode_vector(node.embedding),
         "pose": node.pose.to_dict(),
         "first_seen": node.first_seen,
         "last_seen": node.last_seen,
@@ -95,11 +107,11 @@ def _node_to_dict(node: EntityNode) -> dict:
     }
 
 
-def _node_from_dict(d: dict) -> EntityNode:
+def _node_from_dict(d: dict, embedding: np.ndarray) -> EntityNode:
     return EntityNode(
         node_id=int(d["node_id"]),
         label_text=str(d["label_text"]),
-        embedding=decode_vector(d["embedding"]),
+        embedding=embedding,
         pose=Pose.from_dict(d["pose"]),
         first_seen=float(d["first_seen"]),
         last_seen=float(d["last_seen"]),
@@ -111,54 +123,113 @@ def _record_to_dict(record: CaptionRecord) -> dict:
     return {
         "record_id": record.record_id,
         "text": record.text,
-        "embedding": encode_vector(record.embedding),
         "pose": record.pose.to_dict(),
         "time": record.time,
     }
 
 
-def _record_from_dict(d: dict) -> CaptionRecord:
+def _record_from_dict(d: dict, embedding: np.ndarray) -> CaptionRecord:
     return CaptionRecord(
         record_id=int(d["record_id"]),
         text=str(d["text"]),
-        embedding=decode_vector(d["embedding"]),
+        embedding=embedding,
         pose=Pose.from_dict(d["pose"]),
         time=float(d["time"]),
     )
 
 
+def _header(payload_bytes: int, meta_bytes: int, digest: str) -> bytes:
+    header = {
+        "format": FORMAT_NAME,
+        "version": list(FORMAT_VERSION),
+        "payload_bytes": payload_bytes,
+        "meta_bytes": meta_bytes,
+        "payload_sha256": digest,
+    }
+    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+
+
 def save_snapshot(state: SessionState, path: str | Path) -> None:
-    """Write the session atomically (temp file plus rename)."""
-    payload = {
+    """Write the session atomically (temp file plus rename).
+
+    The embedding blocks are converted and hashed ``_CHUNK`` rows at a
+    time; the header goes first with a placeholder digest of the same
+    length and is rewritten in place once the payload is hashed.
+    """
+    nodes = state.graph.all_nodes()
+    records = state.captions.all_records()
+    meta = {
         "config": state.cfg.to_dict(),
         "provider": provider_to_spec(state.provider),
-        "graph": {
-            "next_id": state.graph.next_id,
-            "nodes": [_node_to_dict(n) for n in state.graph.all_nodes()],
-        },
+        "graph": {"next_id": state.graph.next_id, "nodes": [_node_to_dict(n) for n in nodes]},
         "captions": {
             "next_id": state.captions.next_id,
-            "records": [_record_to_dict(r) for r in state.captions.all_records()],
+            "records": [_record_to_dict(r) for r in records],
         },
         "stats": state.stats.to_dict(),
     }
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    header = json.dumps(
-        {
-            "format": FORMAT_NAME,
-            "version": list(FORMAT_VERSION),
-            "payload_bytes": len(body),
-            "payload_sha256": hashlib.sha256(body).hexdigest(),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    body = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload_bytes = len(body) + (len(nodes) + len(records)) * state.cfg.embedding_dim * 4
+    sha = hashlib.sha256(body)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("wb") as fh:
-        fh.write(header)
-        fh.write(b"\n")
+        fh.write(_header(payload_bytes, len(body), "0" * sha.digest_size * 2))
         fh.write(body)
+        for items in (nodes, records):
+            for i in range(0, len(items), _CHUNK):
+                block = np.array([it.embedding for it in items[i : i + _CHUNK]], "<f4")
+                sha.update(block)
+                fh.write(block)
+        fh.seek(0)
+        fh.write(_header(payload_bytes, len(body), sha.hexdigest()))
     os.replace(tmp, path)
+
+
+def _read_header(line: bytes, path: Path) -> tuple[list[int], int, int, str]:
+    """(version, payload_bytes, meta_bytes, payload_sha256) of a header line."""
+    if not line.endswith(b"\n"):
+        raise SnapshotError(f"{path}: missing snapshot header")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SnapshotError(f"{path}: bad snapshot header: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        raise SnapshotError(f"{path}: not a {FORMAT_NAME} file")
+    try:
+        version = [int(v) for v in header.get("version", [])]
+        payload_bytes = int(header.get("payload_bytes", -1))
+    except (TypeError, ValueError) as exc:
+        raise SnapshotError(f"{path}: bad snapshot header: {exc}") from None
+    if not version or version[0] > FORMAT_VERSION[0]:
+        raise SnapshotError(
+            f"{path}: snapshot version {version} is newer than supported "
+            f"{list(FORMAT_VERSION)}"
+        )
+    if version[0] < 2:  # 1.x: the whole payload is JSON, vectors inline
+        meta_bytes = payload_bytes
+    else:
+        meta_bytes = header.get("meta_bytes")
+        if type(meta_bytes) is not int or not 0 <= meta_bytes <= payload_bytes:
+            raise SnapshotError(
+                f"{path}: bad snapshot header: meta_bytes {meta_bytes!r} is not an "
+                f"integer in [0, {payload_bytes}]"
+            )
+    return version, payload_bytes, meta_bytes, header.get("payload_sha256")
+
+
+def _split_blocks(blocks: np.ndarray, dim: int, n_nodes: int, n_records: int, path: Path):
+    """Read-only (nodes, records) float32 row arrays of the embedding blocks."""
+    expected = (n_nodes + n_records) * dim * 4
+    if blocks.size != expected:
+        raise SnapshotError(
+            f"{path}: embedding blocks hold {blocks.size} bytes, expected {expected} "
+            f"for {n_nodes} nodes and {n_records} records of dimension {dim}"
+        )
+    # astype copies only on a big-endian host
+    emb = blocks.view("<f4").reshape(-1, dim).astype(np.float32, copy=False)
+    emb.setflags(write=False)
+    return emb[:n_nodes], emb[n_nodes:]
 
 
 def load_snapshot(path: str | Path) -> SessionState:
@@ -169,49 +240,49 @@ def load_snapshot(path: str | Path) -> SessionState:
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with path.open("rb") as fh:
+            line = fh.readline()
+            version, expected_len, meta_len, digest = _read_header(line, path)
+            size = os.fstat(fh.fileno()).st_size - len(line)
+            if size != expected_len:
+                raise SnapshotError(
+                    f"{path}: truncated payload ({size} bytes, expected {expected_len})"
+                )
+            meta = fh.read(meta_len)
+            blocks = np.empty(expected_len - meta_len, np.uint8)
+            got = len(meta) + fh.readinto(blocks)
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from None
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise SnapshotError(f"{path}: missing snapshot header")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"{path}: bad snapshot header: {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise SnapshotError(f"{path}: not a {FORMAT_NAME} file")
-    try:
-        version = [int(v) for v in header.get("version", [])]
-        expected_len = int(header.get("payload_bytes", -1))
-    except (TypeError, ValueError) as exc:
-        raise SnapshotError(f"{path}: bad snapshot header: {exc}") from None
-    if not version or version[0] > FORMAT_VERSION[0]:
-        raise SnapshotError(
-            f"{path}: snapshot version {version} is newer than supported "
-            f"{list(FORMAT_VERSION)}"
-        )
-    body = raw[newline + 1 :]
-    if len(body) != expected_len:
-        raise SnapshotError(
-            f"{path}: truncated payload ({len(body)} bytes, expected {expected_len})"
-        )
-    digest = hashlib.sha256(body).hexdigest()
-    if digest != header.get("payload_sha256"):
+    if got != expected_len:
+        raise SnapshotError(f"{path}: truncated payload ({got} bytes, expected {expected_len})")
+    sha = hashlib.sha256(meta)
+    sha.update(blocks)
+    if sha.hexdigest() != digest:
         raise SnapshotError(f"{path}: payload checksum mismatch")
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(meta.decode("utf-8"))
         cfg = Config.from_dict(payload["config"])
         provider = provider_from_spec(payload["provider"])
-        nodes = [_node_from_dict(d) for d in payload["graph"]["nodes"]]
-        graph = MemoryGraph.restore(cfg, nodes, next_id=int(payload["graph"]["next_id"]))
-        records = [_record_from_dict(d) for d in payload["captions"]["records"]]
-        captions = CaptionStore.restore(
-            cfg, records, next_id=int(payload["captions"]["next_id"])
-        )
+        g, c = payload["graph"], payload["captions"]
+        if version[0] < 2:
+            node_embs = (decode_vector(d["embedding"]) for d in g["nodes"])
+            record_embs = (decode_vector(d["embedding"]) for d in c["records"])
+        else:
+            node_embs, record_embs = _split_blocks(
+                blocks, cfg.embedding_dim, len(g["nodes"]), len(c["records"]), path
+            )
+        nodes = [_node_from_dict(d, e) for d, e in zip(g["nodes"], node_embs)]
+        graph = MemoryGraph.restore(cfg, nodes, next_id=int(g["next_id"]))
+        records = [_record_from_dict(d, e) for d, e in zip(c["records"], record_embs)]
+        captions = CaptionStore.restore(cfg, records, next_id=int(c["next_id"]))
         stats = SessionStats.from_dict(payload.get("stats", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path}: malformed snapshot payload: {exc}") from None
     return SessionState(
-        cfg=cfg, provider=provider, graph=graph, captions=captions, stats=stats
+        cfg=cfg,
+        provider=provider,
+        graph=graph,
+        captions=captions,
+        stats=stats,
+        format_version=tuple(version),
     )

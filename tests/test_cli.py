@@ -149,6 +149,15 @@ class TestQuery:
             assert code == 1
             assert err.startswith("error:")
 
+    def test_bad_block_size(self, snapshot, capsys):
+        from test_snapshot import split_v2, write_v2
+
+        header, meta, blocks = split_v2(snapshot)
+        write_v2(snapshot, header, meta, blocks[:-4])
+        code, _, err = run(capsys, "query", snapshot, "semantic", "--query", "x")
+        assert code == 1
+        assert err.startswith("error:") and "embedding blocks" in err
+
     def test_missing_snapshot(self, tmp_path, capsys):
         code, _, err = run(capsys, "query", tmp_path / "none", "semantic", "--query", "x")
         assert code == 1
@@ -186,6 +195,21 @@ class TestEvalAndStats:
         assert stats["caption_records"] == 6
         assert stats["n_queries"] == 0
         assert stats["fallback"] is None
+
+    def test_stats_reports_format_version(self, tmp_path, snapshot, capsys):
+        from test_snapshot import write_v1
+
+        old = tmp_path / "old.lgrsnap"
+        write_v1(load_snapshot(snapshot), old)
+        for snap, version in ((snapshot, "2.0"), (old, "1.0")):
+            code, out, err = run(capsys, "stats", snap)
+            assert code == 0, err
+            assert json.loads(out)["format_version"] == version
+        # any save converts the file, here a routed query's stats update
+        code, _, err = run(capsys, "query", old, "route", "--query", "where is the hydrant?",
+                           "--update-snapshot")
+        assert code == 0, err
+        assert json.loads(run(capsys, "stats", old)[1])["format_version"] == "2.0"
 
 
 class TestProviderFlag:

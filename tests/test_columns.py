@@ -185,6 +185,34 @@ def test_restore_rejects_duplicate_ids_and_wrong_dimension(cfg64):
         CaptionStore.restore(cfg64, [record, CaptionRecord(9, "b", short, Pose(0.0, 0.0), 0.0)])
 
 
+def test_restore_rejects_non_float32_embedding(cfg64):
+    # the stores hold float32 vectors, which snapshots write exactly
+    wide = unit_rows(1, DIM, seed=3)[0].astype(np.float64)
+    with pytest.raises(ValueError, match="node embeddings must be float32, got float64"):
+        MemoryGraph.restore(cfg64, [EntityNode(1, "a", wide, Pose(0.0, 0.0), 0.0, 0.0, 1)])
+    with pytest.raises(ValueError, match="caption record embeddings must be float32"):
+        CaptionStore.restore(cfg64, [CaptionRecord(1, "a", wide, Pose(0.0, 0.0), 0.0)])
+
+
+def test_ingest_stores_float32_embeddings(cfg64):
+    f32 = unit_rows(2, DIM, seed=4)
+    obs = Observation(
+        frame_id="f",
+        pose=Pose(0.0, 0.0),
+        time=0.0,
+        labels=(Label("a", f32[0]), Label("b", f32[1].astype(np.float64))),
+        caption=Caption("c", f32[1].astype(np.float64)),
+    )
+    g, c = MemoryGraph(cfg64), CaptionStore(cfg64)
+    g.ingest_observation(obs)
+    c.insert_caption(obs)
+    a, b = g.all_nodes()
+    assert a.embedding is obs.labels[0].embedding  # float32 passes through
+    assert b.embedding.dtype == np.float32 and np.array_equal(b.embedding, f32[1])
+    (r,) = c.all_records()
+    assert r.embedding.dtype == np.float32 and np.array_equal(r.embedding, f32[1])
+
+
 def test_restore_then_ingest_past_headroom(cfg64):
     n = 10
     g = random_graph(n, cfg64, seed=12)

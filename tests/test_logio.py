@@ -128,6 +128,25 @@ class TestReadWrite:
         with pytest.raises(LogParseError, match=rf"log\.jsonl:2: .*{field} must be a list"):
             read_log_records(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("labels", [1, None, {"b": 2}]),  # were the labels '1', 'None', "{'b': 2}"
+            ("labels", ["a", None, "c"]),
+            ("caption", ["x"]),  # was the caption "['x']"
+            ("caption", None),
+            ("caption", 5),
+        ],
+    )
+    def test_non_string_label_or_caption_reports_line(self, tmp_path, field, value):
+        obj = rec("f1", 1.0, labels=["a", "b", "c"], caption="c").to_json_dict()
+        obj[field] = value
+        path = tmp_path / "log.jsonl"
+        first = json.dumps(rec("f0", 0.0).to_json_dict())
+        path.write_text(first + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(LogParseError, match=r"log\.jsonl:2: .*must be strings"):
+            read_log_records(path)
+
 
 class TestSubsample:
     def test_ten_hz_ten_seconds_keeps_six(self):
@@ -207,3 +226,26 @@ class TestLoadLog:
         assert len(observations) == 6
         assert observations[0].frame_id == "f0"
         assert observations[-1].time == 10.0
+
+    def _log_with_dropped_line(self, tmp_path, bad: dict):
+        """Records at t = 0, 2 and 4, which subsampling at 2 s keeps, with
+        ``bad`` on line 3 between the last two."""
+        good = [rec("f0", 0.0, labels=["cup"]), rec("f2", 2.0, labels=["cup"])]
+        lines = [json.dumps(good[0].to_json_dict()), json.dumps(good[1].to_json_dict()),
+                 json.dumps(bad), json.dumps(rec("f4", 4.0, labels=["cup"]).to_json_dict())]
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_bad_vector_on_dropped_line_reports_its_line(self, tmp_path, cfg64, provider64):
+        bad = rec("f3", 2.5, labels=["cup"]).to_json_dict()
+        bad["label_embeddings"] = ["!!!not-base64!!!"]
+        path = self._log_with_dropped_line(tmp_path, bad)
+        with pytest.raises(LogParseError, match=r"log\.jsonl:3: bad base64"):
+            next(load_log(path, cfg64, provider64))
+
+    def test_decreasing_time_on_dropped_line_reports_its_line(self, tmp_path, cfg64, provider64):
+        bad = rec("f3", 1.0, labels=["cup"]).to_json_dict()
+        path = self._log_with_dropped_line(tmp_path, bad)
+        with pytest.raises(LogParseError, match=r"log\.jsonl:3: timestamps must be non-decreasing"):
+            next(load_log(path, cfg64, provider64))

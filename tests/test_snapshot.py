@@ -24,7 +24,8 @@ from lgr import (
     t_semantic,
     t_time,
 )
-from lgr.snapshot import provider_from_spec, provider_to_spec
+from lgr.logio import encode_vector
+from lgr.snapshot import FORMAT_VERSION, provider_from_spec, provider_to_spec
 
 
 def build_state(seed: int = 17, n_nodes: int = 40, n_captions: int = 25) -> SessionState:
@@ -120,7 +121,7 @@ class TestRoundTrip:
         # carry a "graph.edges" list; loading ignores it
         state = build_state()
         path = tmp_path / "s.lgrsnap"
-        save_snapshot(state, path)
+        write_v1(state, path)
         payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
         assert "edges" not in payload["graph"]
         payload["graph"]["edges"] = [[1, 2]]
@@ -141,6 +142,65 @@ class TestRoundTrip:
         assert np.array_equal(loaded.provider.embed("cup"), provider.embed("cup"))
         assert np.array_equal(loaded.provider.embed("new"), provider.embed("new"))
 
+    def test_float64_session_identical_after_round_trip(self, tmp_path):
+        # the stores keep float32 copies of float64 inputs, which the
+        # snapshot's float32 blocks hold exactly
+        cfg = Config(embedding_dim=DIM)
+        state = SessionState.new(cfg, HashProvider(seed=3, dim=DIM))
+        rng = np.random.default_rng(3)
+        for i in range(30):
+            e = rng.standard_normal((2, DIM))
+            e /= np.linalg.norm(e, axis=1, keepdims=True)
+            obs = Observation(
+                frame_id=f"f{i}",
+                pose=Pose(*rng.uniform(-20, 20, size=3)),
+                time=float(i),
+                labels=(Label(f"thing {i}", e[0]),),
+                caption=Caption(f"scene {i}", e[1]),
+            )
+            state.graph.ingest_observation(obs)
+            state.captions.insert_caption(obs)
+        before = query_fingerprint(state)
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(state, path)
+        assert query_fingerprint(load_snapshot(path)) == before
+
+    def test_format_2_0_layout(self, tmp_path):
+        state = build_state()
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(state, path)
+        header, meta, blocks = split_v2(path)
+        assert header["version"] == list(FORMAT_VERSION) == [2, 0]
+        assert header["payload_sha256"] == hashlib.sha256(meta + blocks).hexdigest()
+        payload = json.loads(meta)
+        assert "embedding" not in payload["graph"]["nodes"][0]
+        assert "embedding" not in payload["captions"]["records"][0]
+        rows = [n.embedding for n in state.graph.all_nodes()]
+        rows += [r.embedding for r in state.captions.all_records()]
+        assert blocks == np.array(rows, "<f4").tobytes()
+
+    def test_loaded_embeddings_are_read_only_block_rows(self, tmp_path):
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(build_state(), path)
+        loaded = load_snapshot(path)
+        assert loaded.format_version == FORMAT_VERSION
+        embs = [n.embedding for n in loaded.graph.all_nodes()]
+        embs += [r.embedding for r in loaded.captions.all_records()]
+        assert all(e.dtype == np.float32 and not e.flags.writeable for e in embs)
+        assert len({id(e.base) for e in embs}) == 1
+
+    def test_format_1_0_file_loads_identically(self, tmp_path):
+        state = build_state()
+        path = tmp_path / "s.lgrsnap"
+        write_v1(state, path)
+        loaded = load_snapshot(path)
+        assert loaded.format_version == (1, 0)
+        assert loaded.stats == state.stats
+        assert loaded.graph.next_id == state.graph.next_id
+        assert query_fingerprint(loaded) == query_fingerprint(state)
+        save_snapshot(loaded, path)  # any save writes the current format
+        assert load_snapshot(path).format_version == FORMAT_VERSION
+
 
 def write_framed(path, payload: dict, version=(1, 0)) -> None:
     """Write ``payload`` under a hand-built header with a correct SHA-256."""
@@ -152,6 +212,66 @@ def write_framed(path, payload: dict, version=(1, 0)) -> None:
         "payload_sha256": hashlib.sha256(body).hexdigest(),
     }
     path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+def write_v1(state: SessionState, path) -> None:
+    """Write ``state`` in the 1.0 layout: one JSON payload, vectors as base64."""
+    payload = {
+        "config": state.cfg.to_dict(),
+        "provider": provider_to_spec(state.provider),
+        "graph": {
+            "next_id": state.graph.next_id,
+            "nodes": [
+                {
+                    "node_id": n.node_id,
+                    "label_text": n.label_text,
+                    "embedding": encode_vector(n.embedding),
+                    "pose": n.pose.to_dict(),
+                    "first_seen": n.first_seen,
+                    "last_seen": n.last_seen,
+                    "obs_count": n.obs_count,
+                }
+                for n in state.graph.all_nodes()
+            ],
+        },
+        "captions": {
+            "next_id": state.captions.next_id,
+            "records": [
+                {
+                    "record_id": r.record_id,
+                    "text": r.text,
+                    "embedding": encode_vector(r.embedding),
+                    "pose": r.pose.to_dict(),
+                    "time": r.time,
+                }
+                for r in state.captions.all_records()
+            ],
+        },
+        "stats": state.stats.to_dict(),
+    }
+    write_framed(path, payload)
+
+
+def split_v2(path) -> tuple[dict, bytes, bytes]:
+    """(header, meta JSON, embedding blocks) of a 2.0 file."""
+    line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    return header, payload[: header["meta_bytes"]], payload[header["meta_bytes"] :]
+
+
+def write_v2(path, header: dict, meta: bytes, blocks: bytes) -> None:
+    """Write a 2.0 file whose payload length and SHA-256 match ``meta + blocks``."""
+    payload = meta + blocks
+    header = dict(
+        header, payload_bytes=len(payload), payload_sha256=hashlib.sha256(payload).hexdigest()
+    )
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+def saved(tmp_path, n_nodes: int = 5, n_captions: int = 3):
+    path = tmp_path / "s.lgrsnap"
+    save_snapshot(build_state(n_nodes=n_nodes, n_captions=n_captions), path)
+    return path
 
 
 class TestCorruption:
@@ -199,7 +319,7 @@ class TestCorruption:
         raw = path.read_bytes()
         newline = raw.find(b"\n")
         header = json.loads(raw[:newline])
-        header["version"] = [2, 0]
+        header["version"] = [FORMAT_VERSION[0] + 1, 0]
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[newline:])
         with pytest.raises(SnapshotError, match="newer"):
             load_snapshot(path)
@@ -230,11 +350,44 @@ class TestCorruption:
     def test_mistyped_payload_section_refused(self, tmp_path):
         state = build_state(n_nodes=2, n_captions=1)
         path = tmp_path / "s.lgrsnap"
-        save_snapshot(state, path)
+        write_v1(state, path)
         payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
         payload["stats"] = []  # was AttributeError
         write_framed(path, payload)
         with pytest.raises(SnapshotError, match="malformed"):
+            load_snapshot(path)
+
+
+    @pytest.mark.parametrize("meta_bytes", ["absent", None, "12", -1, 1.5, True, "over"])
+    def test_bad_meta_bytes_refused(self, tmp_path, meta_bytes):
+        path = saved(tmp_path)
+        header, meta, blocks = split_v2(path)
+        if meta_bytes == "absent":
+            del header["meta_bytes"]
+        elif meta_bytes == "over":
+            header["meta_bytes"] = len(meta) + len(blocks) + 1
+        else:
+            header["meta_bytes"] = meta_bytes
+        write_v2(path, header, meta, blocks)
+        with pytest.raises(SnapshotError, match="meta_bytes"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "cut", [lambda b: b[:-4], lambda b: b + bytes(4), lambda b: b[:-1], lambda b: b""]
+    )
+    def test_block_size_mismatch_refused(self, tmp_path, cut):
+        path = saved(tmp_path)
+        header, meta, blocks = split_v2(path)
+        write_v2(path, header, meta, cut(blocks))  # checksum still correct
+        with pytest.raises(SnapshotError, match="embedding blocks"):
+            load_snapshot(path)
+
+    def test_flipped_byte_in_caption_block_fails_checksum(self, tmp_path):
+        path = saved(tmp_path, n_captions=3)
+        data = bytearray(path.read_bytes())
+        data[-(3 * DIM * 4) // 2] ^= 0x01  # the middle of the caption block
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="checksum"):
             load_snapshot(path)
 
 
