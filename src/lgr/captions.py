@@ -86,18 +86,18 @@ class CaptionStore(RowStore):
 
     def query_text(self, q: np.ndarray, k: int) -> list[CaptionHit]:
         """Top-k by descending cosine similarity to a query embedding."""
-        return self._hits(Columns.cosine, q, k, descending=True)
+        return self._hits(Columns.top_cosine, q, k)
 
     def query_position(self, pose: Pose, k: int) -> list[CaptionHit]:
         """Top-k by ascending L2 distance over x, y, z."""
-        return self._hits(Columns.distance, pose.position(), k)
+        return self._hits(Columns.top_distance, pose.position(), k)
 
     def query_time(self, t: float, k: int) -> list[CaptionHit]:
         """Top-k by ascending absolute time difference."""
-        return self._hits(Columns.time_gap, t, k)
+        return self._hits(Columns.top_time_gap, t, k)
 
-    def _hits(self, score, arg, k: int, descending: bool = False) -> list[CaptionHit]:
+    def _hits(self, rank, arg, k: int) -> list[CaptionHit]:
         return [
             CaptionHit(r.record_id, r.text, r.pose, r.time, s)
-            for r, s in self._top(score, arg, k, descending)
+            for r, s in self._top(rank, arg, k)
         ]

@@ -74,8 +74,8 @@ class MemoryGraph(RowStore):
 
     All mutation happens under one lock and lands atomically per
     observation: a reader never sees half of a frame's creations or
-    updates. Float64 columns (embedding, position, last_seen) back the
-    vectorized scans used by retrieval.
+    updates. Columns (a float32 embedding column, float64 position and
+    last_seen) back the vectorized scans used by retrieval and matching.
     """
 
     _ID = "node_id"
@@ -160,15 +160,15 @@ class MemoryGraph(RowStore):
 
     def top_semantic(self, q: np.ndarray, k: int) -> list[tuple[EntityNode, float]]:
         """k nodes with highest cosine similarity to ``q``, descending."""
-        return self._top(Columns.cosine, q, k, descending=True)
+        return self._top(Columns.top_cosine, q, k)
 
     def top_position(self, xyz: np.ndarray, k: int) -> list[tuple[EntityNode, float]]:
         """k nodes nearest to ``xyz`` in L2 over x, y, z, ascending."""
-        return self._top(Columns.distance, xyz, k)
+        return self._top(Columns.top_distance, xyz, k)
 
     def top_time(self, t: float, k: int) -> list[tuple[EntityNode, float]]:
         """k nodes whose last_seen is closest to ``t`` in L1, ascending."""
-        return self._top(Columns.time_gap, t, k)
+        return self._top(Columns.top_time_gap, t, k)
 
     # ------------------------------------------------------------------
     # internals (call with the lock held)
@@ -177,7 +177,7 @@ class MemoryGraph(RowStore):
     def _find_matches_locked(self, e, p: np.ndarray) -> list[int]:
         cols = self._cols
         d = cols.distance(p)
-        hit = np.flatnonzero((cols.cosine(e) > self._cfg.delta_e) & (d <= self._cfg.delta_p))
+        hit = cols.cosine_above(e, self._cfg.delta_e, d <= self._cfg.delta_p)
         order = np.lexsort((cols.ids[hit], d[hit]))
         return cols.ids[hit[order]].tolist()
 

@@ -15,6 +15,7 @@ from lgr import (
     Caption,
     CaptionRecord,
     CaptionStore,
+    Config,
     EntityNode,
     FixtureProvider,
     HashProvider,
@@ -26,7 +27,8 @@ from lgr import (
     t_semantic,
     t_time,
 )
-from lgr.columns import _GROW, topk
+from lgr.columns import _GROW, Columns, topk
+from lgr.embedding import row_dots
 
 # ----------------------------------------------------------------------
 # topk against a full lexsort
@@ -242,3 +244,262 @@ def test_restore_then_ingest_past_headroom(cfg64):
     for k in (1, K, n + created + 2):
         check_graph_tools(g, k, rng)
         check_caption_tools(captions, k, rng)
+
+
+# ----------------------------------------------------------------------
+# float32 filter, float64 refine: the same ids and score bits as a full
+# float64 scan
+# ----------------------------------------------------------------------
+
+
+def full_scan(emb: np.ndarray, q) -> np.ndarray:
+    """Clipped float64 cosine of every stored float32 row, as one scan."""
+    with np.errstate(all="ignore"):
+        return np.clip(row_dots(emb.astype(np.float64), np.asarray(q, np.float64)), -1.0, 1.0)
+
+
+def full_scan_top(emb: np.ndarray, q, k: int) -> tuple[list[int], bytes]:
+    """Ids (row + 1) and score bytes of the k best rows, ties by id."""
+    s = full_scan(emb, q)
+    ids = np.arange(1, emb.shape[0] + 1)
+    rows = np.lexsort((ids, -s))[:k]
+    return (rows + 1).tolist(), s[rows].tobytes()
+
+
+def full_scan_matches(emb, pos, q, p, delta_e: float, delta_p: float) -> list[int]:
+    """Ids passing both gates, nearest first, id as tie-break."""
+    d = np.sqrt((pos[:, 0] - p[0]) ** 2 + (pos[:, 1] - p[1]) ** 2 + (pos[:, 2] - p[2]) ** 2)
+    hit = np.flatnonzero((full_scan(emb, q) > delta_e) & (d <= delta_p))
+    return (hit[np.lexsort((hit, d[hit]))] + 1).tolist()
+
+
+def got_top(pairs) -> tuple[list[int], bytes]:
+    pairs = list(pairs)
+    return [i for i, _ in pairs], np.array([s for _, s in pairs], dtype=np.float64).tobytes()
+
+
+def stores_of(cfg: Config, emb: np.ndarray, pos: np.ndarray, restored: int):
+    """A graph and a caption store holding emb's rows as ids 1..n.
+
+    The first ``restored`` rows come in through restore; each later row is
+    ingested as one frame (so it must be a unit vector and lie farther
+    than ``delta_p`` from every other row).
+    """
+    n = emb.shape[0]
+    nodes = [
+        EntityNode(i + 1, f"e{i}", emb[i], Pose(*pos[i]), 0.0, float(i), 1) for i in range(restored)
+    ]
+    records = [
+        CaptionRecord(i + 1, f"c{i}", emb[i], Pose(*pos[i]), float(i)) for i in range(restored)
+    ]
+    g, c = MemoryGraph.restore(cfg, nodes), CaptionStore.restore(cfg, records)
+    for i in range(restored, n):
+        obs = Observation(
+            frame_id=f"f{i}",
+            pose=Pose(*pos[i]),
+            time=float(i),
+            labels=(Label(f"e{i}", emb[i]),),
+            caption=Caption(f"c{i}", emb[i]),
+        )
+        assert g.ingest_observation(obs).created == (i + 1,)
+        assert c.insert_caption(obs) == i + 1
+    return g, c
+
+
+def tied_rows(rng, n: int, dim: int, dup_share: float) -> np.ndarray:
+    """n float32 unit rows where about ``dup_share`` repeat an earlier row."""
+    emb = unit_rows(n, dim, int(rng.integers(2**31)))
+    for i in range(1, n):
+        if rng.random() < dup_share:
+            emb[i] = emb[int(rng.integers(i))]
+    return emb
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([1, 7, 384, 1000]),
+    st.integers(0, 140),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "row", "-row"]),
+    st.floats(-3.0, 3.0),
+    st.booleans(),
+    st.data(),
+)
+def test_cosine_tools_equal_full_float64_scan(dim, n, seed, mode, log_norm, grow, data):
+    rng = np.random.default_rng(seed)
+    emb = tied_rows(rng, n, dim, dup_share=data.draw(st.sampled_from([0.0, 0.3])))
+    pos = np.column_stack([100.0 * np.arange(n), np.zeros(n), np.zeros(n)])
+    if grow:  # the rest is ingested, past one or more column growths
+        restored = data.draw(st.integers(0, min(n, 8)))
+    else:  # all restored, with row norms away from 1 as well
+        restored = n
+        emb *= rng.choice(np.array([1.0, 0.5, 2.0, 3.0], np.float32), size=(n, 1))
+    if mode != "random" and n:
+        q = emb[int(rng.integers(n))].astype(np.float64) * (-1.0 if mode == "-row" else 1.0)
+    else:
+        q = rng.standard_normal(dim)
+        q *= 10.0**log_norm / np.linalg.norm(q)
+    g, c = stores_of(Config(embedding_dim=dim), emb, pos, restored)
+    for store in (g, c):  # the filter's bound holds row by row
+        eps = store._cols._eps(q)
+        assert eps < 1.0 and np.all(np.abs(store._cols._scores32(q) - full_scan(emb, q)) <= eps)
+    ks = {1, n, n + 1, n + 2, data.draw(st.integers(1, n + 2))} - {0}
+    for k in sorted(ks):
+        want = full_scan_top(emb, q, k)
+        assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, k)) == want
+        assert got_top((h.record_id, h.score) for h in c.query_text(q, k)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([7, 64, 384]), st.integers(1, 60), st.integers(0, 2**32 - 1), st.data())
+def test_ingest_gate_equals_full_scan_at_threshold_edges(dim, n, seed, data):
+    rng = np.random.default_rng(seed)
+    delta_p = 5.0
+    p = np.array([1.0, -2.0, 0.5])
+    e = unit_rows(1, dim, int(rng.integers(2**31)))[0]
+    # rows near the query, some repeated, so several scores clear a high delta_e
+    noisy = e + rng.uniform(0.0, 1.5) * unit_rows(n, dim, int(rng.integers(2**31)))
+    emb = (noisy / np.linalg.norm(noisy, axis=1, keepdims=True)).astype(np.float32)
+    for i in range(1, n):
+        if rng.random() < 0.25:
+            emb[i] = emb[int(rng.integers(i))]
+    # exactly at delta_p, just past it, inside, or outside
+    edge = np.array([p[0] + delta_p, np.nextafter(p[0] + delta_p, np.inf), p[0] + 1.0, p[0] + 9.0])
+    pos = np.tile(p, (n, 1))
+    pos[:, 0] = edge[rng.integers(4, size=n)]
+    target = full_scan(emb, e)[data.draw(st.integers(0, n - 1))]
+    nodes = [EntityNode(i + 1, f"e{i}", emb[i], Pose(*pos[i]), 0.0, 0.0, 1) for i in range(n)]
+    for delta_e in (target, np.nextafter(target, -np.inf), np.nextafter(target, np.inf)):
+        if not 0.0 < delta_e <= 1.0:
+            continue
+        cfg = Config(embedding_dim=dim, delta_e=float(delta_e), delta_p=delta_p)
+        g = MemoryGraph.restore(cfg, nodes)
+        want = full_scan_matches(emb, pos, e, p, cfg.delta_e, delta_p)
+        assert g.find_matches(e, Pose(*p)) == want
+        obs = Observation("f", Pose(*p), 1.0, labels=(Label("q", e),))
+        report = g.ingest_observation(obs)
+        assert (report.created, report.updated) == (((), (want[0],)) if want else ((n + 1,), ()))
+
+
+@pytest.mark.parametrize("nan_row", [False, True])
+def test_non_finite_query_or_row_equals_full_scan(nan_row):
+    dim, n = 16, 40
+    cfg = Config(embedding_dim=dim, delta_e=0.5)
+    emb = tied_rows(np.random.default_rng(3), n, dim, dup_share=0.2)
+    emb[:, 0] = np.abs(emb[:, 0])  # an inf first component gives +inf scores
+    emb[5, 0] = 0.0  # and inf * 0 a NaN one
+    if nan_row:
+        emb[7] = np.nan
+    pos = np.zeros((n, 3))
+    g, c = stores_of(cfg, emb, pos, restored=n)
+    inf_q = np.zeros(dim)
+    inf_q[0] = np.inf
+    queries = [emb[3].astype(np.float64), np.full(dim, np.nan), inf_q, -inf_q]
+    for q in queries:
+        for k in (1, 3, n - 1, n, n + 2):
+            want = full_scan_top(emb, q, k)
+            assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, k)) == want
+            assert got_top((h.record_id, h.score) for h in c.query_text(q, k)) == want
+        want = full_scan_matches(emb, pos, q, np.zeros(3), cfg.delta_e, cfg.delta_p)
+        assert g.find_matches(q, Pose(0.0, 0.0)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 7, 384, 1000]), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_row_dots_bits_depend_only_on_row_content(dim, n, seed):
+    # the refine rescores a copy of some rows and must give the full scan's bits
+    rng = np.random.default_rng(seed)
+    emb = rng.standard_normal((n, dim)).astype(np.float32)
+    q = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+    full = row_dots(emb.astype(np.float64), q)
+    for _ in range(4):
+        rows = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=bool(rng.integers(2)))
+        assert row_dots(emb[rows].astype(np.float64), q).tobytes() == full[rows].tobytes()
+
+
+def check_one_float32_column(store) -> None:
+    cols = store._cols
+    tables = [v for v in vars(cols).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+    assert len(tables) == 1 and tables[0] is cols.emb and cols.emb.dtype == np.float32
+    assert not any(isinstance(v, np.ndarray) for v in vars(store).values())
+    norms = np.linalg.norm(cols.emb[: cols.size].astype(np.float64), axis=1)
+    assert np.all(norms <= cols.norm_bound) and cols.norm_bound <= 1.001 * norms.max(initial=0.0)
+
+
+def test_one_float32_embedding_column_whose_norm_bound_holds(cfg64):
+    rng = np.random.default_rng(21)
+    n = 30
+    emb = unit_rows(n, DIM, seed=22) * rng.uniform(0.1, 4.0, size=(n, 1)).astype(np.float32)
+    pos = np.column_stack([100.0 * np.arange(n), np.zeros(n), np.zeros(n)])
+    g, c = stores_of(cfg64, emb, pos, restored=n)  # restore
+    for store in (g, c):
+        check_one_float32_column(store)
+    fresh = unit_rows(_GROW + 5, DIM, seed=23)
+    for i, e in enumerate(fresh):  # append, past a column growth
+        pose = Pose(-100.0 * (i + 1), 0.0)
+        obs = Observation(f"f{i}", pose, 1.0, labels=(Label("a", e),), caption=Caption("c", e))
+        g.ingest_observation(obs)
+        c.insert_caption(obs)
+    node = g.all_nodes()[-1]  # update: re-sight a node in place
+    resight = Observation("u", node.pose, 2.0, labels=(Label("a", node.embedding),))
+    report = g.ingest_observation(resight)
+    assert report.updated == (node.node_id,)
+    for store in (g, c):
+        check_one_float32_column(store)
+    empty = CaptionStore.restore(cfg64, [])
+    check_one_float32_column(empty)
+    assert empty._cols.norm_bound == 0.0
+
+
+def test_refine_is_exact_for_any_filter_error_within_the_bound(monkeypatch):
+    # an adversarial filter: every float32 score moved by up to 0.9 eps, up
+    # or down at random, over rows whose scores lie a few eps apart
+    signs = np.random.default_rng(41)
+
+    def adversary(self, q64):
+        n, eps = self.size, self._eps(q64)
+        s = self._refine(np.arange(n), q64) + 0.9 * eps * signs.choice([-1.0, 1.0], size=n)
+        return np.clip(s, -1.0, 1.0).astype(np.float32)
+
+    monkeypatch.setattr(Columns, "_scores32", adversary)
+    cfg = Config(delta_e=0.9)
+    n = 40
+    base = unit_rows(1, cfg.embedding_dim, seed=42)
+    noisy = base + 2e-5 * unit_rows(n, cfg.embedding_dim, seed=43)
+    emb = (noisy / np.linalg.norm(noisy, axis=1, keepdims=True)).astype(np.float32)
+    emb[5] = emb[9]  # and an exact tie
+    pos = np.zeros((n, 3))
+    g, c = stores_of(cfg, emb, pos, restored=n)
+    for q in (base[0], emb[9], unit_rows(1, cfg.embedding_dim, seed=44)[0]):
+        # the scores lie within 20 eps of each other
+        assert g._cols._eps(np.float64(q)) > np.ptp(full_scan(emb, q)) / 20
+        for k in range(1, n + 3):
+            want = full_scan_top(emb, q, k)
+            assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, k)) == want
+            assert got_top((h.record_id, h.score) for h in c.query_text(q, k)) == want
+    s = full_scan(emb, base[0])
+    for floor in np.sort(s)[::4]:
+        gate = MemoryGraph.restore(Config(delta_e=float(floor)), g.all_nodes())
+        want = full_scan_matches(emb, pos, base[0], np.zeros(3), float(floor), cfg.delta_p)
+        assert gate.find_matches(base[0], Pose(0.0, 0.0)) == want
+
+
+def test_cosine_scans_rescore_only_candidates(monkeypatch):
+    rescored = []
+    refine = Columns._refine
+
+    def spy(self, rows, q64):
+        rescored.append(rows.shape[0])
+        return refine(self, rows, q64)
+
+    monkeypatch.setattr(Columns, "_refine", spy)
+    cfg = Config()
+    n = 2000
+    emb = unit_rows(n, cfg.embedding_dim, seed=31)
+    pos = np.zeros((n, 3))
+    g, c = stores_of(cfg, emb, pos, restored=n)
+    q = unit_rows(1, cfg.embedding_dim, seed=32)[0]
+    assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, 5)) == full_scan_top(emb, q, 5)
+    assert got_top((h.record_id, h.score) for h in c.query_text(q, 5)) == full_scan_top(emb, q, 5)
+    assert g.find_matches(emb[9], Pose(0.0, 0.0)) == [10]
+    assert len(rescored) == 3 and max(rescored) <= 20, rescored
