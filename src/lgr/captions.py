@@ -17,6 +17,9 @@ from .model import Observation, Pose, ensure_valid
 
 @dataclass(frozen=True, eq=False)
 class CaptionRecord:
+    """One scene description; a record that ingest inserts holds a
+    read-only view of its store's chunk row as ``embedding``."""
+
     record_id: int
     text: str
     embedding: np.ndarray
@@ -48,12 +51,8 @@ class CaptionStore(RowStore):
     """Flat scan store with the same writer/reader contract as the graph."""
 
     _ID = "record_id"
+    _TIME = "time"
     _WHAT = "caption record"
-
-    @staticmethod
-    def _values(record: CaptionRecord) -> tuple:
-        p = record.pose
-        return record.embedding, p.x, p.y, p.z, record.time
 
     record_count = RowStore.__len__
     get_record = RowStore._get
@@ -69,16 +68,11 @@ class CaptionStore(RowStore):
             raise ValueError(f"observation {obs.frame_id!r} carries no caption")
         ensure_valid(obs, self._cfg)
         with self._lock:
-            record = CaptionRecord(
-                record_id=self._next_id,
-                text=obs.caption.text,
-                embedding=np.asarray(obs.caption.embedding, np.float32),
-                pose=obs.pose,
-                time=obs.time,
-            )
-            self._next_id += 1
-            self._add(record)
-            return record.record_id
+            rid, pose = self._next_id, obs.pose
+            e = self._cols.append(rid, obs.caption.embedding, pose.x, pose.y, pose.z, obs.time)
+            self._items.append(CaptionRecord(rid, obs.caption.text, e, pose, obs.time))
+            self._next_id = rid + 1
+            return rid
 
     # ------------------------------------------------------------------
     # top-k queries: deterministic order, record_id breaks ties

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .columns import Columns, RowStore, check_dim
-from .model import Observation, Pose, ensure_valid
+from .model import Label, Observation, Pose, ensure_valid
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,7 +25,8 @@ class EntityNode:
     """One remembered entity.
 
     ``pose.x/y/z`` is the arithmetic mean of every matched sighting
-    position; ``pose.yaw`` and ``embedding`` are fixed at creation.
+    position; ``pose.yaw`` and ``embedding`` are fixed at creation. A node
+    that ingest creates holds a read-only view of its graph's chunk row.
     """
 
     node_id: int
@@ -74,17 +75,14 @@ class MemoryGraph(RowStore):
 
     All mutation happens under one lock and lands atomically per
     observation: a reader never sees half of a frame's creations or
-    updates. Columns (a float32 embedding column, float64 position and
-    last_seen) back the vectorized scans used by retrieval and matching.
+    updates. Columns (float32 embedding chunks, float64 position and
+    last_seen) back the vectorized scans used by retrieval and matching;
+    an update rewrites only position and last_seen.
     """
 
     _ID = "node_id"
+    _TIME = "last_seen"
     _WHAT = "node"
-
-    @staticmethod
-    def _values(node: EntityNode) -> tuple:
-        p = node.pose
-        return node.embedding, p.x, p.y, p.z, node.last_seen
 
     node_count = RowStore.__len__
     get_node = RowStore._get
@@ -115,10 +113,9 @@ class MemoryGraph(RowStore):
             groups = self._group_labels(obs.labels)
             p = obs.pose.position()
             claimed: set[int] = set()
-            created: list[int] = []
             updated: list[int] = []
             pending: dict[int, EntityNode] = {}
-            fresh: list[EntityNode] = []
+            fresh: list[tuple[int, Label]] = []
             for members in groups:
                 rep = obs.labels[members[0]]
                 matched = [
@@ -134,25 +131,18 @@ class MemoryGraph(RowStore):
                     claimed.add(nid)
                     updated.append(nid)
                 for _ in range(k - len(targets)):
-                    node = EntityNode(
-                        node_id=self._next_id,
-                        label_text=rep.text,
-                        embedding=np.asarray(rep.embedding, np.float32),
-                        pose=obs.pose,
-                        first_seen=obs.time,
-                        last_seen=obs.time,
-                        obs_count=1,
-                    )
+                    fresh.append((self._next_id, rep))
                     self._next_id += 1
-                    fresh.append(node)
-                    created.append(node.node_id)
             # visibility point: apply the whole frame at once
             for row, node in pending.items():
                 self._items[row] = node
-                self._cols.write(row, *self._values(node))
-            for node in fresh:
-                self._add(node)
-            return IngestReport(tuple(created), tuple(updated), len(obs.labels))
+                self._cols.write(row, node.pose.x, node.pose.y, node.pose.z, node.last_seen)
+            pose, t = obs.pose, obs.time
+            for nid, rep in fresh:
+                e = self._cols.append(nid, rep.embedding, pose.x, pose.y, pose.z, t)
+                self._items.append(EntityNode(nid, rep.text, e, pose, t, t, 1))
+            created = tuple(nid for nid, _ in fresh)
+            return IngestReport(created, tuple(updated), len(obs.labels))
 
     # ------------------------------------------------------------------
     # vectorized scans used by the retrieval tools
@@ -188,6 +178,9 @@ class MemoryGraph(RowStore):
         group representative.
         """
         n = len(labels)
+        if n == 1:  # nothing to pair
+            check_dim(labels[0].embedding, self._cfg.embedding_dim)
+            return [[0]]
         parent = list(range(n))
 
         def find(i: int) -> int:

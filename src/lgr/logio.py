@@ -20,6 +20,7 @@ producer's business.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -52,12 +53,14 @@ def encode_vector(vec: np.ndarray) -> str:
 def decode_vector(data: str) -> np.ndarray:
     """Inverse of :func:`encode_vector`; returns a read-only float32 array."""
     try:
-        raw = base64.b64decode(data.encode("ascii"), validate=True)
+        if not (type(data) is str and data.isascii()):
+            data.encode("ascii")  # raises the error naming the bad type or character
+        raw = binascii.a2b_base64(data, strict_mode=True)
     except Exception as exc:
         raise ValueError(f"bad base64 vector: {exc}") from None
     if len(raw) % 4 != 0:
         raise ValueError(f"vector byte length {len(raw)} is not a multiple of 4")
-    out = np.frombuffer(raw, dtype="<f4").astype(np.float32)
+    out = np.frombuffer(raw, "<f4").astype(np.float32, copy=False)  # copies on big-endian hosts
     out.setflags(write=False)
     return out
 

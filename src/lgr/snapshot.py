@@ -11,9 +11,13 @@ a save/load round trip.
 
 Loading verifies the frame, the lengths and the checksum before any
 state is constructed, so a corrupt or truncated file can never leave
-partial state behind; loaded items hold read-only row views of the
-blocks. Format 1.x files, whose payload is one JSON document with base64
-vectors inline, still load; saves always write the current format.
+partial state behind. The blocks are read into one buffer, which is the
+only copy of the embeddings: each store adopts its read-only block as its
+first embedding chunk, and loaded items hold row views of it. A file
+whose items are out of id order costs one sorted copy. Saves write the
+stores' chunks as they are. Format 1.x files, whose payload is one JSON
+document with base64 vectors inline, still load; saves always write the
+current format.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .router import SessionStats
 
 FORMAT_NAME = "lgr-snapshot"
 FORMAT_VERSION = (2, 0)
-_CHUNK = 1024  # embedding rows converted and hashed at a time on save
+_CHUNK = 1024  # embedding rows written and hashed at a time on save
 
 
 class SnapshotError(RuntimeError):
@@ -152,12 +156,12 @@ def _header(payload_bytes: int, meta_bytes: int, digest: str) -> bytes:
 def save_snapshot(state: SessionState, path: str | Path) -> None:
     """Write the session atomically (temp file plus rename).
 
-    The embedding blocks are converted and hashed ``_CHUNK`` rows at a
-    time; the header goes first with a placeholder digest of the same
+    The stores' embedding chunks are written and hashed ``_CHUNK`` rows
+    at a time; the header goes first with a placeholder digest of the same
     length and is rewritten in place once the payload is hashed.
     """
-    nodes = state.graph.all_nodes()
-    records = state.captions.all_records()
+    nodes, node_blocks = state.graph._export()
+    records, record_blocks = state.captions._export()
     meta = {
         "config": state.cfg.to_dict(),
         "provider": provider_to_spec(state.provider),
@@ -176,11 +180,11 @@ def save_snapshot(state: SessionState, path: str | Path) -> None:
     with tmp.open("wb") as fh:
         fh.write(_header(payload_bytes, len(body), "0" * sha.digest_size * 2))
         fh.write(body)
-        for items in (nodes, records):
-            for i in range(0, len(items), _CHUNK):
-                block = np.array([it.embedding for it in items[i : i + _CHUNK]], "<f4")
-                sha.update(block)
-                fh.write(block)
+        for block in node_blocks + record_blocks:
+            for i in range(0, block.shape[0], _CHUNK):
+                part = block[i : i + _CHUNK].astype("<f4", copy=False)  # copies on big-endian hosts
+                sha.update(part)
+                fh.write(part)
         fh.seek(0)
         fh.write(_header(payload_bytes, len(body), sha.hexdigest()))
     os.replace(tmp, path)
@@ -264,17 +268,19 @@ def load_snapshot(path: str | Path) -> SessionState:
         cfg = Config.from_dict(payload["config"])
         provider = provider_from_spec(payload["provider"])
         g, c = payload["graph"], payload["captions"]
-        if version[0] < 2:
+        if version[0] < 2:  # restore copies the decoded vectors into one block
+            node_block = record_block = None
             node_embs = (decode_vector(d["embedding"]) for d in g["nodes"])
             record_embs = (decode_vector(d["embedding"]) for d in c["records"])
         else:
-            node_embs, record_embs = _split_blocks(
+            node_block, record_block = _split_blocks(
                 blocks, cfg.embedding_dim, len(g["nodes"]), len(c["records"]), path
             )
+            node_embs, record_embs = node_block, record_block
         nodes = [_node_from_dict(d, e) for d, e in zip(g["nodes"], node_embs)]
-        graph = MemoryGraph.restore(cfg, nodes, next_id=int(g["next_id"]))
+        graph = MemoryGraph._restore(cfg, nodes, int(g["next_id"]), node_block)
         records = [_record_from_dict(d, e) for d, e in zip(c["records"], record_embs)]
-        captions = CaptionStore.restore(cfg, records, next_id=int(c["next_id"]))
+        captions = CaptionStore._restore(cfg, records, int(c["next_id"]), record_block)
         stats = SessionStats.from_dict(payload.get("stats", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path}: malformed snapshot payload: {exc}") from None

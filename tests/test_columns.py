@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from lgr import (
     t_semantic,
     t_time,
 )
+from lgr import columns
 from lgr.columns import _GROW, Columns, topk
 from lgr.embedding import row_dots
 
@@ -209,10 +211,14 @@ def test_ingest_stores_float32_embeddings(cfg64):
     g.ingest_observation(obs)
     c.insert_caption(obs)
     a, b = g.all_nodes()
-    assert a.embedding is obs.labels[0].embedding  # float32 passes through
-    assert b.embedding.dtype == np.float32 and np.array_equal(b.embedding, f32[1])
     (r,) = c.all_records()
-    assert r.embedding.dtype == np.float32 and np.array_equal(r.embedding, f32[1])
+    # each is a read-only view of its store's chunk row, not of its input
+    for item, store, given in ((a, g, f32[0]), (b, g, f32[1]), (r, c, f32[1])):
+        e = item.embedding
+        assert e.dtype == np.float32 and e.tobytes() == given.tobytes()
+        assert not e.flags.writeable
+        assert np.shares_memory(e, store._cols.chunks[0])
+    assert not np.shares_memory(a.embedding, obs.labels[0].embedding)
 
 
 def test_restore_then_ingest_past_headroom(cfg64):
@@ -405,6 +411,53 @@ def test_non_finite_query_or_row_equals_full_scan(nan_row):
 
 
 @settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(0, 12),
+    st.integers(0, 30),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_tools_and_gate_equal_oracles_across_chunks(chunk, restored, ingested, seed, data):
+    # rows restored into one chunk, then ingested into chunks of ``chunk``
+    # rows: each row is a*e + b*u_i with orthonormal u_i, so a row scores a
+    # against e, and two rows score a_i*a_j < delta_e against each other
+    n, cfg = restored + ingested, Config(embedding_dim=DIM, delta_e=0.5)
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((DIM, n + 1)))[0].T
+    e, u = basis[0], basis[1:]
+    a = rng.choice([0.7, 0.6, 0.3, -0.6], size=n)[:, None]
+    emb = (a * e + np.sqrt(1.0 - a * a) * u).astype(np.float32)
+    # the first row of each chunk repeats the last row of the one before:
+    # the two tie on every score, on opposite sides of p, 8 m apart
+    p = np.array([3.0, -1.0, 0.5])
+    pos = np.tile(p, (n, 1))
+    pos[:, 0] += np.where(np.arange(n) % 2, 4.0, -4.0)
+    dup = np.zeros(n, bool)
+    for b in range(restored or chunk, n, chunk):
+        if not dup[b - 1]:
+            emb[b], dup[b] = emb[b - 1], True
+    with mock.patch.object(columns, "_CHUNK", chunk):
+        g, c = stores_of(cfg, emb, pos, restored)
+        assert len(g._cols.chunks) == (restored > 0) + math.ceil(ingested / chunk)
+        for k in sorted({1, chunk, chunk + 1, 2 * chunk + 1, n, n + 2} - {0}):
+            check_graph_tools(g, k, rng)
+            check_caption_tools(c, k, rng)
+            for q in [e, rng.standard_normal(DIM)] + [emb[b] for b in np.flatnonzero(dup)[:2]]:
+                want = full_scan_top(emb, q, k)
+                assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, k)) == want
+                assert got_top((h.record_id, h.score) for h in c.query_text(q, k)) == want
+        nodes = [(nd.node_id, nd.embedding, (nd.pose.x, nd.pose.y, nd.pose.z)) for nd in g.all_nodes()]
+        for q in [emb[b] for b in np.flatnonzero(dup)[:2]] + [e]:
+            want = oracles.find_matches_naive(nodes, q, p, cfg.delta_e, cfg.delta_p)
+            assert want == full_scan_matches(emb, pos, q, p, cfg.delta_e, cfg.delta_p)
+            assert g.find_matches(q, Pose(*p)) == want
+        # ``want`` now holds e's matches: a frame sighting e at p updates the first
+        report = g.ingest_observation(Observation("f", Pose(*p), 1.0, labels=(Label("q", e),)))
+        assert (report.created, report.updated) == (((), (want[0],)) if want else ((n + 1,), ()))
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 7, 384, 1000]), st.integers(1, 300), st.integers(0, 2**32 - 1))
 def test_row_dots_bits_depend_only_on_row_content(dim, n, seed):
     # the refine rescores a copy of some rows and must give the full scan's bits
@@ -419,14 +472,29 @@ def test_row_dots_bits_depend_only_on_row_content(dim, n, seed):
 
 def check_one_float32_column(store) -> None:
     cols = store._cols
-    tables = [v for v in vars(cols).values() if isinstance(v, np.ndarray) and v.ndim == 2]
-    assert len(tables) == 1 and tables[0] is cols.emb and cols.emb.dtype == np.float32
+    # float32 chunks are the only embedding table: no 2-D array outside the
+    # chunk list, no other list of arrays, and no chunk overlaps another
+    arrays = [v for v in vars(cols).values() if isinstance(v, np.ndarray)]
+    assert all(v.ndim == 1 for v in arrays)
+    lists = [v for v in vars(cols).values() if isinstance(v, list) and v]
+    assert all(v is cols.chunks or not isinstance(v[0], np.ndarray) for v in lists)
+    assert all(c.dtype == np.float32 and c.shape[1:] == (cols.dim,) for c in cols.chunks)
+    assert not any(
+        np.shares_memory(a, b) for i, a in enumerate(cols.chunks) for b in cols.chunks[:i]
+    )
     assert not any(isinstance(v, np.ndarray) for v in vars(store).values())
-    norms = np.linalg.norm(cols.emb[: cols.size].astype(np.float64), axis=1)
+    # chunk layout: contiguous row ranges, each in use, later ones _CHUNK rows
+    ends = np.cumsum([c.shape[0] for c in cols.chunks]).tolist()
+    assert cols.starts == ([0] + ends)[: len(ends)] and all(s < cols.size for s in cols.starts)
+    assert all(c.shape[0] == columns._CHUNK for c in cols.chunks[1:])
+    emb = np.concatenate(cols.blocks()) if cols.chunks else np.empty((0, cols.dim), np.float32)
+    assert emb.shape[0] == cols.size
+    norms = np.linalg.norm(emb.astype(np.float64), axis=1)
     assert np.all(norms <= cols.norm_bound) and cols.norm_bound <= 1.001 * norms.max(initial=0.0)
 
 
-def test_one_float32_embedding_column_whose_norm_bound_holds(cfg64):
+def test_one_float32_embedding_column_whose_norm_bound_holds(cfg64, monkeypatch):
+    monkeypatch.setattr(columns, "_CHUNK", 16)  # appends span several chunks
     rng = np.random.default_rng(21)
     n = 30
     emb = unit_rows(n, DIM, seed=22) * rng.uniform(0.1, 4.0, size=(n, 1)).astype(np.float32)
@@ -440,10 +508,14 @@ def test_one_float32_embedding_column_whose_norm_bound_holds(cfg64):
         obs = Observation(f"f{i}", pose, 1.0, labels=(Label("a", e),), caption=Caption("c", e))
         g.ingest_observation(obs)
         c.insert_caption(obs)
+    assert len(g._cols.chunks) == 1 + math.ceil((_GROW + 5) / 16)
     node = g.all_nodes()[-1]  # update: re-sight a node in place
+    before = [b.tobytes() for b in g._cols.blocks()], g._cols.norm_bound
     resight = Observation("u", node.pose, 2.0, labels=(Label("a", node.embedding),))
     report = g.ingest_observation(resight)
     assert report.updated == (node.node_id,)
+    # an update rewrites position and time only: the chunks and the bound stay
+    assert ([b.tobytes() for b in g._cols.blocks()], g._cols.norm_bound) == before
     for store in (g, c):
         check_one_float32_column(store)
     empty = CaptionStore.restore(cfg64, [])

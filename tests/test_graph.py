@@ -179,6 +179,12 @@ class TestIngest:
         assert g.get_node(2).obs_count == 2
         assert g.get_node(1).obs_count == 1
 
+    def test_one_label_is_one_group_of_checked_width(self, cfg64, prov):
+        g = MemoryGraph(cfg64)
+        assert g._group_labels([Label("cup", prov.embed("cup"))]) == [[0]]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            g._group_labels([Label("cup", np.ones(DIM + 1, np.float32))])
+
     def test_same_frame_group_multiplicity(self, cfg64, prov):
         # identical label twice in one frame is one group with k=2
         g = MemoryGraph(cfg64)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,12 @@ import pytest
 from conftest import DIM, random_graph, unit_rows
 from lgr import (
     Caption,
-    Label,
+    CaptionRecord,
+    CaptionStore,
     Config,
+    EntityNode,
+    Label,
+    MemoryGraph,
     FixtureProvider,
     HashProvider,
     Observation,
@@ -189,6 +194,57 @@ class TestRoundTrip:
         assert all(e.dtype == np.float32 and not e.flags.writeable for e in embs)
         assert len({id(e.base) for e in embs}) == 1
 
+    def test_loaded_stores_adopt_the_file_block(self, tmp_path):
+        path = tmp_path / "s.lgrsnap"
+        state = build_state()
+        save_snapshot(state, path)
+        loaded = load_snapshot(path)
+        g, c = loaded.graph._cols, loaded.captions._cols
+        # each store's one chunk is its part of the one buffer the file was read into
+        assert len(g.chunks) == len(c.chunks) == 1
+        assert g.chunks[0].base is c.chunks[0].base is not None
+        assert not g.chunks[0].flags.writeable and not c.chunks[0].flags.writeable
+        assert not np.shares_memory(g.chunks[0], c.chunks[0])
+        for cols, items in ((g, loaded.graph.all_nodes()), (c, loaded.captions.all_records())):
+            assert all(np.shares_memory(it.embedding, cols.chunks[0]) for it in items)
+        assert query_fingerprint(loaded) == query_fingerprint(state)
+
+    def test_format_2_0_file_out_of_id_order_loads_identically(self, tmp_path):
+        state = build_state()
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(state, path)
+        header, meta, blocks = split_v2(path)
+        payload = json.loads(meta)
+        nodes, records = payload["graph"]["nodes"], payload["captions"]["records"]
+        row = len(nodes) * DIM * 4
+        node_rows = np.frombuffer(blocks[:row], "<f4").reshape(len(nodes), DIM)
+        record_rows = np.frombuffer(blocks[row:], "<f4").reshape(len(records), DIM)
+        rng = np.random.default_rng(4)
+        pn, pr = rng.permutation(len(nodes)), rng.permutation(len(records))
+        payload["graph"]["nodes"] = [nodes[i] for i in pn]
+        payload["captions"]["records"] = [records[i] for i in pr]
+        meta = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        write_v2(path, dict(header, meta_bytes=len(meta)), meta, node_rows[pn].tobytes() + record_rows[pr].tobytes())
+        loaded = load_snapshot(path)
+        for store, want in (
+            (loaded.graph, state.graph.all_nodes()),
+            (loaded.captions, state.captions.all_records()),
+        ):
+            got = store._all()
+            assert [vars(a) | {"embedding": a.embedding.tobytes()} for a in got] == [
+                vars(b) | {"embedding": b.embedding.tobytes()} for b in want
+            ]
+            # the sorted copy is the store's one chunk; its items are views of it
+            (chunk,) = store._cols.chunks
+            assert not chunk.flags.writeable
+            assert all(np.shares_memory(it.embedding, chunk) for it in got)
+        assert (loaded.graph.next_id, loaded.captions.next_id) == (
+            state.graph.next_id, state.captions.next_id
+        )
+        assert query_fingerprint(loaded) == query_fingerprint(state)
+        save_snapshot(loaded, path)
+        assert split_v2(path)[2] == blocks
+
     def test_format_1_0_file_loads_identically(self, tmp_path):
         state = build_state()
         path = tmp_path / "s.lgrsnap"
@@ -200,6 +256,33 @@ class TestRoundTrip:
         assert query_fingerprint(loaded) == query_fingerprint(state)
         save_snapshot(loaded, path)  # any save writes the current format
         assert load_snapshot(path).format_version == FORMAT_VERSION
+
+
+def test_load_allocates_one_embedding_block(tmp_path):
+    # numpy reports its buffers to tracemalloc; a second copy of the
+    # embeddings (a column filled from the file block) would double the peak
+    n, dim = 250, 1536
+    cfg = Config(embedding_dim=dim)
+    state = SessionState.new(cfg, HashProvider(seed=1, dim=dim))
+    emb = unit_rows(2 * n, dim, seed=6)
+    state.graph = MemoryGraph.restore(
+        cfg, [EntityNode(i + 1, f"e{i}", emb[i], Pose(1.0, 2.0), 0.0, float(i), 1) for i in range(n)]
+    )
+    state.captions = CaptionStore.restore(
+        cfg, [CaptionRecord(i + 1, f"c{i}", emb[n + i], Pose(1.0, 2.0), float(i)) for i in range(n)]
+    )
+    path = tmp_path / "s.lgrsnap"
+    save_snapshot(state, path)
+    del state, emb
+    tracemalloc.start()
+    try:
+        loaded = load_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 2 * n * dim * 4
+    assert loaded.graph.node_count() == loaded.captions.record_count() == n
+    assert block <= peak <= 1.5 * block, (peak, block)
 
 
 def write_framed(path, payload: dict, version=(1, 0)) -> None:
