@@ -214,8 +214,12 @@ class Columns:
 
     def _scores32(self, q64: np.ndarray) -> np.ndarray:
         """Clipped float32 scores of every row, the query rounded to float32,
-        filled in one vector a chunk at a time."""
+        filled in one vector a chunk at a time. A store of one chunk (one
+        restored or loaded and not grown since, or a small one) is scored
+        in one call; the per-chunk bookkeeping showed in route latency."""
         q32 = q64.astype(np.float32)
+        if len(self.chunks) == 1:
+            return _clip_unit(self.chunks[0][: self.size] @ q32)
         s = np.empty(self.size, np.float32)
         for block, start in zip(self.blocks(), self.starts):
             np.matmul(block, q32, out=s[start : start + block.shape[0]])
@@ -223,8 +227,15 @@ class Columns:
 
     def _refine(self, rows: np.ndarray, q64: np.ndarray) -> np.ndarray:
         """Clipped float64 ``row_dots`` scores of ascending ``rows``, gathered
-        from their chunks at most ``_CHUNK`` rows at a time."""
+        from their chunks at most ``_CHUNK`` rows at a time; from a store of
+        one chunk directly, with no chunk boundaries to find."""
         s = np.empty(rows.shape[0])
+        if len(self.chunks) == 1:
+            chunk = self.chunks[0]
+            for i in range(0, rows.shape[0], _CHUNK):
+                part = rows[i : i + _CHUNK]
+                s[i : i + part.shape[0]] = row_dots(chunk[part].astype(np.float64), q64)
+            return _clip_unit(s)
         lo = 0
         for chunk, start in zip(self.chunks, self.starts):
             hi = int(np.searchsorted(rows, start + chunk.shape[0]))

@@ -20,7 +20,6 @@ producer's business.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -53,9 +52,7 @@ def encode_vector(vec: np.ndarray) -> str:
 def decode_vector(data: str) -> np.ndarray:
     """Inverse of :func:`encode_vector`; returns a read-only float32 array."""
     try:
-        if not (type(data) is str and data.isascii()):
-            data.encode("ascii")  # raises the error naming the bad type or character
-        raw = binascii.a2b_base64(data, strict_mode=True)
+        raw = base64.b64decode(data.encode("ascii"), validate=True)
     except Exception as exc:
         raise ValueError(f"bad base64 vector: {exc}") from None
     if len(raw) % 4 != 0:

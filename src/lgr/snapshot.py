@@ -16,8 +16,9 @@ only copy of the embeddings: each store adopts its read-only block as its
 first embedding chunk, and loaded items hold row views of it. A file
 whose items are out of id order costs one sorted copy. Saves write the
 stores' chunks as they are. Format 1.x files, whose payload is one JSON
-document with base64 vectors inline, still load; saves always write the
-current format.
+document with base64 vectors inline, still load: their vectors are decoded
+straight into one block per store, which is adopted the same way. Saves
+always write the current format.
 """
 
 from __future__ import annotations
@@ -236,6 +237,19 @@ def _split_blocks(blocks: np.ndarray, dim: int, n_nodes: int, n_records: int, pa
     return emb[:n_nodes], emb[n_nodes:]
 
 
+def _decode_block(entries: list, dim: int) -> np.ndarray:
+    """Read-only (n, dim) float32 rows of the entries' inline base64
+    vectors (format 1.x), decoded straight into one block."""
+    block = np.empty((len(entries), dim), np.float32)
+    for row, d in zip(block, entries):
+        e = decode_vector(d["embedding"])
+        if e.shape != row.shape:
+            raise ValueError(f"embedding dimension mismatch: expected {dim}, got {e.shape}")
+        row[...] = e
+    block.setflags(write=False)
+    return block
+
+
 def load_snapshot(path: str | Path) -> SessionState:
     """Verify the frame, then rebuild the full session state.
 
@@ -268,18 +282,17 @@ def load_snapshot(path: str | Path) -> SessionState:
         cfg = Config.from_dict(payload["config"])
         provider = provider_from_spec(payload["provider"])
         g, c = payload["graph"], payload["captions"]
-        if version[0] < 2:  # restore copies the decoded vectors into one block
-            node_block = record_block = None
-            node_embs = (decode_vector(d["embedding"]) for d in g["nodes"])
-            record_embs = (decode_vector(d["embedding"]) for d in c["records"])
+        dim = cfg.embedding_dim
+        if version[0] < 2:
+            node_block = _decode_block(g["nodes"], dim)
+            record_block = _decode_block(c["records"], dim)
         else:
             node_block, record_block = _split_blocks(
-                blocks, cfg.embedding_dim, len(g["nodes"]), len(c["records"]), path
+                blocks, dim, len(g["nodes"]), len(c["records"]), path
             )
-            node_embs, record_embs = node_block, record_block
-        nodes = [_node_from_dict(d, e) for d, e in zip(g["nodes"], node_embs)]
+        nodes = [_node_from_dict(d, e) for d, e in zip(g["nodes"], node_block)]
         graph = MemoryGraph._restore(cfg, nodes, int(g["next_id"]), node_block)
-        records = [_record_from_dict(d, e) for d, e in zip(c["records"], record_embs)]
+        records = [_record_from_dict(d, e) for d, e in zip(c["records"], record_block)]
         captions = CaptionStore._restore(cfg, records, int(c["next_id"]), record_block)
         stats = SessionStats.from_dict(payload.get("stats", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

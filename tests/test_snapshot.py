@@ -254,13 +254,32 @@ class TestRoundTrip:
         assert loaded.stats == state.stats
         assert loaded.graph.next_id == state.graph.next_id
         assert query_fingerprint(loaded) == query_fingerprint(state)
+        # the decoded vectors are one block per store, adopted as a 2.0 block is
+        for store in (loaded.graph, loaded.captions):
+            (chunk,) = store._cols.chunks
+            assert not chunk.flags.writeable
+            assert all(np.shares_memory(it.embedding, chunk) for it in store._all())
         save_snapshot(loaded, path)  # any save writes the current format
         assert load_snapshot(path).format_version == FORMAT_VERSION
 
+    def test_format_1_0_file_with_wrong_width_vector_refused(self, tmp_path):
+        state = build_state()
+        path = tmp_path / "s.lgrsnap"
+        write_v1(state, path)
+        payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
+        wide = encode_vector(np.ones(DIM + 1, np.float32))
+        payload["captions"]["records"][-1]["embedding"] = wide
+        write_framed(path, payload)
+        with pytest.raises(SnapshotError, match="dimension mismatch: expected"):
+            load_snapshot(path)
 
-def test_load_allocates_one_embedding_block(tmp_path):
+
+@pytest.mark.parametrize("version", ["2.0", "1.0"])
+def test_load_allocates_one_embedding_block(tmp_path, version):
     # numpy reports its buffers to tracemalloc; a second copy of the
-    # embeddings (a column filled from the file block) would double the peak
+    # embeddings (a column filled from the file block, or items keeping
+    # their decoded vectors) would double what a load keeps. A 1.0 load
+    # also parses the base64 text, so only a 2.0 load's peak is bounded.
     n, dim = 250, 1536
     cfg = Config(embedding_dim=dim)
     state = SessionState.new(cfg, HashProvider(seed=1, dim=dim))
@@ -272,17 +291,22 @@ def test_load_allocates_one_embedding_block(tmp_path):
         cfg, [CaptionRecord(i + 1, f"c{i}", emb[n + i], Pose(1.0, 2.0), float(i)) for i in range(n)]
     )
     path = tmp_path / "s.lgrsnap"
-    save_snapshot(state, path)
+    if version == "2.0":
+        save_snapshot(state, path)
+    else:
+        write_v1(state, path)
     del state, emb
     tracemalloc.start()
     try:
         loaded = load_snapshot(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     block = 2 * n * dim * 4
     assert loaded.graph.node_count() == loaded.captions.record_count() == n
-    assert block <= peak <= 1.5 * block, (peak, block)
+    assert block <= kept <= 1.5 * block, (kept, block)
+    if version == "2.0":
+        assert peak <= 1.5 * block, (peak, block)
 
 
 def write_framed(path, payload: dict, version=(1, 0)) -> None:
