@@ -228,7 +228,8 @@ class Columns:
     def _refine(self, rows: np.ndarray, q64: np.ndarray) -> np.ndarray:
         """Clipped float64 ``row_dots`` scores of ascending ``rows``, gathered
         from their chunks at most ``_CHUNK`` rows at a time; from a store of
-        one chunk directly, with no chunk boundaries to find."""
+        one chunk directly, with no chunk boundaries to find. One
+        ``searchsorted`` finds where every later chunk's rows begin."""
         s = np.empty(rows.shape[0])
         if len(self.chunks) == 1:
             chunk = self.chunks[0]
@@ -236,9 +237,9 @@ class Columns:
                 part = rows[i : i + _CHUNK]
                 s[i : i + part.shape[0]] = row_dots(chunk[part].astype(np.float64), q64)
             return _clip_unit(s)
+        ends = np.searchsorted(rows, self.starts[1:]).tolist() + [rows.shape[0]]
         lo = 0
-        for chunk, start in zip(self.chunks, self.starts):
-            hi = int(np.searchsorted(rows, start + chunk.shape[0]))
+        for chunk, start, hi in zip(self.chunks, self.starts, ends):
             for i in range(lo, hi, _CHUNK):
                 j = min(i + _CHUNK, hi)
                 s[i:j] = row_dots(chunk[rows[i:j] - start].astype(np.float64), q64)

@@ -9,7 +9,9 @@ across platforms.
 from __future__ import annotations
 
 import hashlib
+import threading
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from pathlib import Path
 from typing import Mapping
 
@@ -17,6 +19,7 @@ import numpy as np
 
 _U64_SCALE = 2.0**-64
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
+_CACHE_TEXTS = 8192  # texts each HashProvider keeps, least recently used evicted first
 
 
 def l2_normalize(values) -> np.ndarray:
@@ -84,10 +87,14 @@ class EmbeddingProvider(ABC):
 class HashProvider(EmbeddingProvider):
     """Pseudo-random unit embeddings keyed on (seed, text).
 
-    Components come from counter-mode BLAKE2b, so identical (seed, text)
-    pairs produce byte-identical vectors on every platform and run. Useful
-    as a stand-in encoder: distinct texts land nearly orthogonal, identical
-    texts coincide exactly.
+    Component block ``i`` (eight components) is the 64-byte keyed BLAKE2b
+    digest of the UTF-8 text followed by ``i`` as eight little-endian
+    bytes, so identical (seed, text) pairs produce byte-identical vectors
+    on every platform and run. BLAKE2 absorbs its input in order, so the
+    text is hashed once and each block finishes a copy of that state with
+    its counter. Each instance keeps the vectors of its ``_CACHE_TEXTS``
+    most recently embedded texts. Useful as a stand-in encoder: distinct
+    texts land nearly orthogonal, identical texts coincide exactly.
     """
 
     def __init__(self, seed: int = 0, dim: int = 384):
@@ -96,7 +103,9 @@ class HashProvider(EmbeddingProvider):
         self._seed = int(seed) & _SEED_MASK
         self._dim = dim
         self._key = self._seed.to_bytes(8, "little")
-        self._cache: dict[str, np.ndarray] = {}
+        self._counters = [i.to_bytes(8, "little") for i in range(-(-dim // 8))]
+        self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()  # readers and the ingest thread may share a provider
 
     @property
     def seed(self) -> int:
@@ -108,26 +117,25 @@ class HashProvider(EmbeddingProvider):
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
-        cached = self._cache.get(text)
-        if cached is not None:
-            return cached
-        data = text.encode("utf-8")
-        raw = np.empty(self._dim, dtype=np.float64)
-        filled = 0
-        block = 0
-        while filled < self._dim:
-            digest = hashlib.blake2b(
-                data + block.to_bytes(8, "little"), digest_size=64, key=self._key
-            ).digest()
-            words = np.frombuffer(digest, dtype="<u8").astype(np.float64)
-            take = min(words.size, self._dim - filled)
-            raw[filled : filled + take] = words[:take]
-            filled += take
-            block += 1
-        components = raw * _U64_SCALE * 2.0 - 1.0  # uniform in [-1, 1)
-        vec = l2_normalize(components)
-        self._cache[text] = vec
+        cache = self._cache
+        with self._lock:
+            vec = cache.pop(text, None)  # pop and re-insert: most recent last
+            if vec is None:
+                vec = self._hash(text)
+                if len(cache) >= _CACHE_TEXTS:
+                    cache.popitem(last=False)
+            cache[text] = vec
         return vec
+
+    def _hash(self, text: str) -> np.ndarray:
+        h = hashlib.blake2b(text.encode("utf-8"), digest_size=64, key=self._key)
+        digests = []
+        for counter in self._counters:
+            block = h.copy()
+            block.update(counter)
+            digests.append(block.digest())
+        words = np.frombuffer(b"".join(digests), "<u8", count=self._dim).astype(np.float64)
+        return l2_normalize(words * _U64_SCALE * 2.0 - 1.0)  # uniform in [-1, 1)
 
 
 class FixtureProvider(EmbeddingProvider):

@@ -8,6 +8,7 @@ products, which is the contract the stores promise.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -28,6 +29,25 @@ def assert_ranking(got, want, tol=1e-6):
 
 def dist3(p, q) -> float:
     return math.dist((p[0], p[1], p[2]), (q[0], q[1], q[2]))
+
+
+def hash_embed_per_block(seed: int, dim: int, text: str) -> np.ndarray:
+    """``HashProvider(seed, dim).embed(text)`` the long way: one keyed
+    BLAKE2b of the whole text plus counter for every eight components,
+    each block converted and copied on its own."""
+    data = text.encode("utf-8")
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    raw = np.empty(dim, dtype=np.float64)
+    filled = block = 0
+    while filled < dim:
+        digest = hashlib.blake2b(data + block.to_bytes(8, "little"), digest_size=64, key=key).digest()
+        words = np.frombuffer(digest, dtype="<u8").astype(np.float64)
+        take = min(words.size, dim - filled)
+        raw[filled : filled + take] = words[:take]
+        filled += take
+        block += 1
+    v = raw * 2.0**-64 * 2.0 - 1.0
+    return (v / float(np.linalg.norm(v))).astype(np.float32)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import sys
+import threading
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from lgr import embedding
 from lgr import (
     FixtureProvider,
     HashProvider,
@@ -19,6 +26,15 @@ from lgr import (
 # Regression pin: similarity of two fixed texts under the shipped hash
 # construction, recorded once and asserted stable ever after.
 CUP_MUG_SIM_SEED7_D384 = 0.07558850059384492
+
+# Regression pin: SHA-256 of every vector below, concatenated in loop order
+# (seed, then dim, then text), recorded from the per-block construction.
+# The texts are ASCII, one character, Unicode, and one or two 128-byte
+# BLAKE2b blocks long (120 bytes plus the counter fill one exactly).
+PIN_SEEDS = (0, 7)
+PIN_DIMS = (1, 7, 8, 9, 384, 1536)
+PIN_TEXTS = ("cup", "a", "café", "冰箱", "x" * 120, "the red mug on the kitchen counter " * 5)
+PIN_SHA256 = "b02700650ed7566d106aac655c853206ae0a52df15a2adf70ddd0e5df061eb5a"
 
 
 class TestCosineSimilarity:
@@ -88,6 +104,79 @@ class TestHashProvider:
         p = HashProvider(seed=7, dim=384)
         sim = cosine_similarity(p.embed("cup"), p.embed("mug"))
         assert sim == pytest.approx(CUP_MUG_SIM_SEED7_D384, abs=1e-9)
+        h = hashlib.sha256()
+        for seed in PIN_SEEDS:
+            for dim in PIN_DIMS:
+                p = HashProvider(seed=seed, dim=dim)
+                for text in PIN_TEXTS:
+                    h.update(p.embed(text).tobytes())
+        assert h.hexdigest() == PIN_SHA256
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-(2**70), 2**70),
+        st.one_of(st.integers(1, 40), st.sampled_from([383, 384, 385, 1536])),
+        st.text(min_size=1, max_size=300),
+    )
+    def test_equals_per_block_reference(self, seed, dim, text):
+        got = HashProvider(seed=seed, dim=dim).embed(text)
+        want = oracles.hash_embed_per_block(seed, dim, text)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=60))
+    def test_cache_is_bounded_lru_and_eviction_keeps_bytes(self, cap, texts):
+        p = HashProvider(seed=4, dim=9)
+        first: dict[str, bytes] = {}
+        recent: list[str] = []  # least recently used first
+        with mock.patch.object(embedding, "_CACHE_TEXTS", cap):
+            for text in texts:
+                got = p.embed(text).tobytes()
+                assert first.setdefault(text, got) == got
+                recent = [t for t in recent if t != text] + [text]
+                assert list(p._cache) == recent[-cap:]
+        for text, got in first.items():
+            assert got == oracles.hash_embed_per_block(4, 9, text).tobytes()
+
+    def test_cache_bound_holds_under_threads(self):
+        # more threads than cores embed overlapping texts through one small
+        # cache whose cap yields the interpreter when compared: an unlocked
+        # check-then-insert would let the cache pass the cap
+        class YieldingCap(int):
+            def __le__(self, other):
+                time.sleep(0)
+                return int(self) <= other
+
+        p = HashProvider(seed=6, dim=16)
+        texts = [f"t{i}" for i in range(12)]
+        want = {t: oracles.hash_embed_per_block(6, 16, t).tobytes() for t in texts}
+        errors: list = []
+
+        def work(offset: int) -> None:
+            try:
+                for i in range(300):
+                    text = texts[(i * (offset + 1) + offset) % len(texts)]
+                    assert p.embed(text).tobytes() == want[text]
+                    assert len(p._cache) <= 3
+            except AssertionError as exc:
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(embedding, "_CACHE_TEXTS", YieldingCap(3)):
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(p._cache) <= 3
+
+    def test_cache_cap_holds_every_benchmark_vocabulary(self):
+        assert embedding._CACHE_TEXTS >= 4096
 
     def test_output_is_read_only(self):
         vec = HashProvider(seed=0, dim=8).embed("cup")
