@@ -132,12 +132,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     observations = created = updated = inserted = 0
     for obs in load_log(args.log, cfg, provider):
-        report = state.graph.ingest_observation(obs)
+        report = state.ingest(obs)
         created += len(report.created)
         updated += len(report.updated)
-        if obs.caption is not None:
-            state.captions.insert_caption(obs)
-            inserted += 1
+        inserted += obs.caption is not None
         observations += 1
     save_snapshot(state, args.out)
     _print(

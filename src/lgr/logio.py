@@ -62,6 +62,35 @@ def decode_vector(data: str) -> np.ndarray:
     return out
 
 
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _is_canonical_vector(data: object) -> bool:
+    """True when ``data`` is padded base64 of whole float32 values.
+
+    Every such string decodes; a string this test refuses may still decode
+    (the strict decoder tolerates some surplus ``=``), so it is never an
+    error by itself.
+    """
+    if type(data) is not str or not data.isascii():
+        return False
+    raw = data.encode("ascii")
+    pad = raw.translate(None, _B64_ALPHABET)  # what is left outside the alphabet
+    return (
+        len(raw) % 4 == 0
+        and pad in (b"", b"=", b"==")
+        and raw.endswith(pad)
+        and (len(raw) // 4 * 3 - len(pad)) % 4 == 0
+    )
+
+
+def _check_vector(data: object) -> None:
+    """Raise exactly what :func:`decode_vector` raises on ``data``, without
+    decoding it when it is canonical."""
+    if not _is_canonical_vector(data):
+        decode_vector(data)
+
+
 @dataclass(frozen=True, eq=False)
 class LogRecord:
     """One parsed log line, before embedding and validation."""
@@ -98,7 +127,8 @@ def _list_field(obj: dict, key: str, default):
     raise TypeError(f"{key} must be a list, got {type(value).__name__}")
 
 
-def _parse_record(obj: dict, where: str) -> LogRecord:
+def _fields(obj: dict) -> tuple[str, float, Pose, tuple[str, ...], str, Optional[list]]:
+    """Check and convert a record's fields other than its vectors."""
     try:
         frame_id = str(obj["frame_id"])
         t = float(obj["t"])
@@ -110,58 +140,53 @@ def _parse_record(obj: dict, where: str) -> LogRecord:
                 raise TypeError(f"labels and caption must be strings, got {type(text).__name__}")
         encoded = _list_field(obj, "label_embeddings", None)
     except (KeyError, TypeError, ValueError) as exc:
-        raise LogParseError(f"{where}: bad record: {exc}") from None
-    label_embeddings = None
-    if encoded is not None:
-        if len(encoded) != len(labels):
-            raise LogParseError(
-                f"{where}: {len(encoded)} label_embeddings for {len(labels)} labels"
-            )
-        try:
-            label_embeddings = tuple(decode_vector(s) for s in encoded)
-        except ValueError as exc:
-            raise LogParseError(f"{where}: {exc}") from None
-    caption_embedding = None
-    if obj.get("caption_embedding"):
-        try:
-            caption_embedding = decode_vector(obj["caption_embedding"])
-        except ValueError as exc:
-            raise LogParseError(f"{where}: {exc}") from None
-    return LogRecord(
-        frame_id=frame_id,
-        t=t,
-        pose=pose,
-        labels=labels,
-        caption=caption,
-        label_embeddings=label_embeddings,
-        caption_embedding=caption_embedding,
-    )
+        raise LogParseError(f"bad record: {exc}") from None
+    if encoded is not None and len(encoded) != len(labels):
+        raise LogParseError(f"{len(encoded)} label_embeddings for {len(labels)} labels")
+    return frame_id, t, pose, labels, caption, encoded
 
 
-def _iter_log_records(path: str | Path) -> Iterator[LogRecord]:
-    """Parse a log file line by line, enforcing non-decreasing timestamps."""
+def _iter_log_records(
+    path: str | Path, period: Optional[float] = None
+) -> Iterator[LogRecord]:
+    """Parse a log file line by line, enforcing non-decreasing timestamps.
+
+    With ``period`` set, yield only the records :func:`subsample` would
+    keep. Every line is checked the same either way, but the vectors of a
+    dropped line are only checked, never decoded.
+    """
     path = Path(path)
     prev_t: Optional[float] = None
+    last_kept: Optional[float] = None
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
+                frame_id, t, pose, labels, caption, encoded = _fields(obj)
+                keep = period is None or last_kept is None or t >= last_kept + period
+                vector = decode_vector if keep else _check_vector
+                label_embeddings = None if encoded is None else tuple(map(vector, encoded))
+                caption_embedding = obj.get("caption_embedding")
+                caption_embedding = vector(caption_embedding) if caption_embedding else None
+                if not math.isfinite(t) or t < 0:
+                    raise LogParseError(f"time must be non-negative, got {t}")
+                if prev_t is not None and t < prev_t:
+                    raise LogParseError(
+                        f"timestamps must be non-decreasing (got {t} after {prev_t})"
+                    )
             except json.JSONDecodeError as exc:
-                raise LogParseError(f"{where}: invalid JSON: {exc}") from None
-            record = _parse_record(obj, where)
-            if not math.isfinite(record.t) or record.t < 0:
-                raise LogParseError(f"{where}: time must be non-negative, got {record.t}")
-            if prev_t is not None and record.t < prev_t:
-                raise LogParseError(
-                    f"{where}: timestamps must be non-decreasing "
-                    f"(got {record.t} after {prev_t})"
+                raise LogParseError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            except ValueError as exc:  # LogParseError or a vector's decode error
+                raise LogParseError(f"{path}:{lineno}: {exc}") from None
+            prev_t = t
+            if keep:
+                last_kept = t
+                yield LogRecord(
+                    frame_id, t, pose, labels, caption, label_embeddings, caption_embedding
                 )
-            prev_t = record.t
-            yield record
 
 
 def read_log_records(path: str | Path) -> list[LogRecord]:
@@ -239,9 +264,9 @@ def load_log(
     """Parse, subsample, embed, and validate a log file.
 
     Yields observations in log order. The first ``next()`` parses and
-    checks every line but holds only the records that survive
+    checks every line but decodes and holds only the records that survive
     subsampling; embedding work happens only for those.
     """
-    kept = subsample(_iter_log_records(path), cfg.subsample_period)
+    kept = list(_iter_log_records(path, cfg.subsample_period))
     for record in kept:
         yield record_to_observation(record, cfg, provider)

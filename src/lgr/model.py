@@ -174,12 +174,57 @@ def _embedding_violations(vec: object, dim: int, what: str) -> list[str]:
     return out
 
 
+_FAST_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
+_VALID = ValidationResult()
+
+
+def _is_unit(vec: object, dim: int) -> bool:
+    """One float64 dot product: a finite sum means every component is
+    finite. Within half the tolerance, no rounding can put the full
+    check's norm outside it."""
+    if type(vec) is not np.ndarray or vec.shape != (dim,) or vec.dtype not in _FAST_DTYPES:
+        return False
+    w = vec.astype(np.float64, copy=False)
+    return abs(math.sqrt(w.dot(w)) - 1.0) <= EMBEDDING_NORM_TOL / 2
+
+
+def _fast_accept(obs: Observation, cfg: Config) -> bool:
+    """True only for observations the full check accepts; False leaves the
+    verdict, and the message, to that check."""
+    try:
+        p = obs.pose
+        if not (
+            math.isfinite(p.x)
+            and math.isfinite(p.y)
+            and math.isfinite(p.z)
+            and -math.pi <= p.yaw < math.pi
+            and math.isfinite(obs.time)
+            and obs.time >= 0
+        ):
+            return False
+        dim = cfg.embedding_dim
+        for label in obs.labels:
+            if not label.text or not _is_unit(label.embedding, dim):
+                return False
+        c = obs.caption
+        return c is None or bool(c.text) and _is_unit(c.embedding, dim)
+    except (AttributeError, TypeError, ValueError):  # a malformed field
+        return False
+
+
 def validate_observation(obs: Observation, cfg: Config) -> ValidationResult:
     """Check an observation against the session config.
 
     Returns all violations found; an empty list means the observation may
-    enter the memory stores.
+    enter the memory stores. A valid observation passes one cheap check;
+    only one that fails it is checked field by field.
     """
+    if _fast_accept(obs, cfg):
+        return _VALID
+    return _violations(obs, cfg)
+
+
+def _violations(obs: Observation, cfg: Config) -> ValidationResult:
     v: list[str] = []
     for name, value in (
         ("pose.x", obs.pose.x),

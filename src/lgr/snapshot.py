@@ -33,9 +33,9 @@ import numpy as np
 
 from .captions import CaptionRecord, CaptionStore
 from .embedding import EmbeddingProvider, FixtureProvider, HashProvider
-from .graph import EntityNode, MemoryGraph
+from .graph import EntityNode, IngestReport, MemoryGraph
 from .logio import decode_vector, encode_vector
-from .model import Config, Pose
+from .model import Config, Observation, Pose
 from .router import SessionStats
 
 FORMAT_NAME = "lgr-snapshot"
@@ -72,6 +72,14 @@ class SessionState:
             captions=CaptionStore(cfg),
             stats=SessionStats(),
         )
+
+    def ingest(self, obs: Observation) -> IngestReport:
+        """Apply one observation: the graph first, then its caption if it
+        has one."""
+        report = self.graph.ingest_observation(obs)
+        if obs.caption is not None:
+            self.captions.insert_caption(obs)
+        return report
 
 
 def provider_to_spec(provider: EmbeddingProvider) -> dict:

@@ -397,10 +397,7 @@ def test_criterion_5_fallback_accounting():
 def build_session_state(records, cfg, provider):
     state = SessionState.new(cfg, provider)
     for record in records:
-        obs = record_to_observation(record, cfg, provider)
-        state.graph.ingest_observation(obs)
-        if obs.caption is not None:
-            state.captions.insert_caption(obs)
+        state.ingest(record_to_observation(record, cfg, provider))
     return state
 
 

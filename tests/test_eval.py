@@ -18,6 +18,7 @@ from lgr import (
     Router,
     RuleBasedPlanner,
     ScriptedPlanner,
+    SessionState,
     SyntheticWorld,
     WorldEntity,
     build_synonym_fixture,
@@ -281,14 +282,10 @@ class TestEndToEndAgainstReplayOracle:
             ["hydrant", "bench", "statue", "kiosk"], spacing=30.0, duration=120.0
         )
         records, items = generate_synthetic_session(3, world, cfg)
-        graph = MemoryGraph(cfg)
-        captions = CaptionStore(cfg)
+        state = SessionState.new(cfg, provider)
         for r in records:
-            obs = record_to_observation(r, cfg, provider)
-            graph.ingest_observation(obs)
-            if obs.caption is not None:
-                captions.insert_caption(obs)
-        router = Router(graph, captions, provider, RuleBasedPlanner(), cfg=cfg)
+            state.ingest(record_to_observation(r, cfg, provider))
+        router = Router(state.graph, state.captions, provider, RuleBasedPlanner(), cfg=cfg)
         report = evaluate(router, items)
 
         correct = {"spatial": 0, "temporal": 0}

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import base64
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DIM, unit_rows
 from lgr import (
     Config,
+    HashProvider,
     LogParseError,
     LogRecord,
     Pose,
@@ -22,6 +26,7 @@ from lgr import (
     subsample,
     write_log,
 )
+from lgr.logio import _check_vector, _is_canonical_vector
 
 
 def rec(frame: str, t: float, labels=(), caption="", **kw) -> LogRecord:
@@ -249,3 +254,139 @@ class TestLoadLog:
         path = self._log_with_dropped_line(tmp_path, bad)
         with pytest.raises(LogParseError, match=r"log\.jsonl:3: timestamps must be non-decreasing"):
             next(load_log(path, cfg64, provider64))
+
+    @pytest.mark.parametrize(
+        "field, vector, message",
+        [
+            ("caption_embedding", "!!!not-base64!!!", "bad base64"),
+            ("caption_embedding", base64.b64encode(b"abcde").decode(), "vector byte length 5"),
+            ("label_embeddings", [base64.b64encode(b"abcde").decode()], "vector byte length 5"),
+            ("label_embeddings", ["QUJDRA="], "bad base64"),  # one '=' short
+            ("label_embeddings", ["QUJD=RA="], "bad base64"),  # '=' inside
+        ],
+    )
+    def test_vector_fault_on_dropped_line_reports_its_line(
+        self, tmp_path, cfg64, provider64, field, vector, message
+    ):
+        bad = rec("f3", 2.5, labels=["cup"], caption="a cup").to_json_dict()
+        bad[field] = vector
+        path = self._log_with_dropped_line(tmp_path, bad)
+        with pytest.raises(LogParseError, match=rf"log\.jsonl:3: {message}"):
+            next(load_log(path, cfg64, provider64))
+
+
+def _outcome(fn, value):
+    try:
+        fn(value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+MUTATIONS = (None, "foreign", "whitespace", "inner =", "three =", "extra =", "drop", "append",
+             "payload", "non-ascii", "int", "list", "none", "bytes")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    payload=st.lists(st.floats(width=32), max_size=12),
+    mutation=st.sampled_from(MUTATIONS),
+    where=st.floats(0.0, 1.0),
+    char=st.integers(0, 3),
+)
+def test_dropped_line_check_accepts_exactly_what_decode_accepts(payload, mutation, where, char):
+    text = encode_vector(np.array(payload, dtype=np.float32))
+    at = round(where * len(text))
+    value = {
+        None: text,
+        "foreign": text[:at] + "!-_*"[char] + text[at:],
+        "whitespace": text[:at] + " \t\n\r"[char] + text[at:],
+        "inner =": text[:at] + "=" + text[at:],
+        "three =": text.rstrip("=") + "===",
+        "extra =": text + "=" * (1 + char % 2),
+        "drop": text[:at] + text[at + 1:],
+        "append": text + "AAA"[: 1 + char % 3],
+        "payload": base64.b64encode(np.array(payload, "<f4").tobytes() + b"x" * (1 + char % 3)).decode(),
+        "non-ascii": text[:at] + "\u00e9\u2028\uff21\U0001f600"[char] + text[at:],
+        "int": 4 * char,
+        "list": [text],
+        "none": None,
+        "bytes": text.encode("ascii"),
+    }[mutation]
+    decoded = _outcome(decode_vector, value)
+    assert _outcome(_check_vector, value) == decoded
+    if _is_canonical_vector(value):
+        assert decoded is None
+    if mutation is None:
+        assert _is_canonical_vector(value)
+
+
+@st.composite
+def logs(draw):
+    """Records with non-decreasing t at 0.5-2.5 s steps (repeats included),
+    carrying vectors on every line, on none or on some."""
+    mode = draw(st.sampled_from(("vectors", "provider", "mixed")))
+    other = HashProvider(seed=5, dim=DIM)  # vectors that differ from the loader's provider
+    t = draw(st.sampled_from((0.0, 0.25, 3.0)))
+    records = []
+    for i in range(draw(st.integers(1, 14))):
+        t += draw(st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 2.5)))
+        labels = draw(st.lists(st.sampled_from(("cup", "door", "bench")), max_size=3))
+        caption = draw(st.sampled_from(("", "a cup", "a door by a bench")))
+        with_labels = mode == "vectors" or mode == "mixed" and draw(st.booleans())
+        with_caption = mode == "vectors" or mode == "mixed" and draw(st.booleans())
+        records.append(rec(
+            f"f{i}", t, labels, caption,
+            pose=Pose(draw(st.floats(-50, 50)), 1.0, 0.0, draw(st.sampled_from((0.0, 3 * math.pi / 2)))),
+            label_embeddings=tuple(other.embed(x) for x in labels) if with_labels else None,
+            caption_embedding=other.embed(caption) if with_caption and caption else None,
+        ))
+    return records
+
+
+FAULTS = {
+    "bad label vector": lambda o: o.update(labels=["cup"], label_embeddings=["!!"]),
+    "bad caption vector": lambda o: o.update(caption_embedding="QUJDRA="),
+    "bad vector and time": lambda o: o.update(caption_embedding="QUJDRA=", t=-1.0),
+    "count": lambda o: o.update(labels=["cup"], label_embeddings=[]),
+    "negative time": lambda o: o.update(t=-2.0),
+    "time goes back": lambda o: o.update(t=o["t"] - 7.0),
+    "missing pose": lambda o: o.pop("pose"),
+    "not unit": lambda o: o.update(caption="c", caption_embedding=encode_vector(np.full(DIM, 0.5))),
+}
+
+
+def _load(fn):
+    """``("ok", what the observations hold)`` or ``("error", the message)``."""
+    try:
+        observations = fn()
+    except ValueError as exc:
+        return "error", type(exc).__name__, str(exc)
+    return "ok", [
+        (
+            o.frame_id, o.pose, o.time,
+            [(lab.text, lab.embedding.dtype.str, lab.embedding.tobytes()) for lab in o.labels],
+            o.caption and (o.caption.text, o.caption.embedding.dtype.str, o.caption.embedding.tobytes()),
+        )
+        for o in observations
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=logs(), fault=st.none() | st.sampled_from(sorted(FAULTS)), at=st.floats(0.0, 1.0))
+def test_load_log_equals_parse_then_subsample_then_convert(records, fault, at):
+    cfg, provider = Config(embedding_dim=DIM), HashProvider(seed=11, dim=DIM)
+    lines = [r.to_json_dict() for r in records]
+    if fault is not None:
+        FAULTS[fault](lines[min(int(at * len(lines)), len(lines) - 1)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in lines))
+        got = _load(lambda: list(load_log(path, cfg, provider)))
+        want = _load(lambda: [
+            record_to_observation(r, cfg, provider)
+            for r in subsample(read_log_records(path), cfg.subsample_period)
+        ])
+    assert got == want
+    if fault is None:
+        assert got[0] == "ok"

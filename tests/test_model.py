@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgr import (
@@ -13,10 +13,12 @@ from lgr import (
     Label,
     Observation,
     Pose,
+    ensure_valid,
     normalize_yaw,
     validate_observation,
 )
 from lgr.embedding import l2_normalize
+from lgr.model import EMBEDDING_NORM_TOL, _fast_accept, _violations
 
 DIM = 8
 CFG = Config(embedding_dim=DIM)
@@ -144,6 +146,124 @@ class TestValidateObservation:
 
     def test_empty_labels_list_is_fine(self):
         assert validate_observation(make_obs(labels=()), CFG).ok
+
+
+TOL = EMBEDDING_NORM_TOL
+INSIDE = (1.0, 1 + TOL / 2, 1 - TOL / 2, 1 + 0.49 * TOL, 1 - 0.51 * TOL, 1 + 0.999 * TOL,
+          1 - 0.999 * TOL, 1 + TOL, 1 - TOL)  # the last two round to either side
+OUTSIDE = (1 + 1.001 * TOL, 1 - 1.001 * TOL, 1 + 2 * TOL, 1.5, 0.0)
+
+
+@st.composite
+def embeddings(draw):
+    """Unit vectors scaled to norms at, inside and outside the tolerance,
+    in float32 or float64, and values the full check refuses."""
+    vec = unit(draw(st.integers(0, 50))) * draw(st.sampled_from(INSIDE * 3 + OUTSIDE))
+    kind = draw(st.sampled_from(  # mostly well-formed, so whole observations often pass
+        ("float64",) * 6 + ("float32",) * 6
+        + ("non-finite", "wrong dim", "2-d", "list", "int", "none")
+    ))
+    if kind == "float32":
+        return vec.astype(np.float32)
+    if kind == "non-finite":
+        vec = vec.astype(draw(st.sampled_from((np.float32, np.float64))))
+        vec[draw(st.integers(0, DIM - 1))] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+        return vec
+    if kind == "wrong dim":
+        return l2_normalize(np.ones(draw(st.sampled_from((1, DIM - 1, DIM + 1)))))
+    if kind == "2-d":
+        return vec.reshape(1, DIM)
+    if kind == "list":
+        return vec.tolist()
+    if kind == "int":
+        return np.eye(DIM, dtype=np.int64)[0]  # unit length, but not floating point
+    if kind == "none":
+        return None
+    return vec
+
+
+# each field is mostly valid, so whole observations often pass
+finite = st.floats(-1e6, 1e6)
+special = st.sampled_from((math.nan, math.inf, -math.inf, -0.0))
+scalars = st.one_of(finite, finite, finite, st.integers(-5, 5), special)
+in_range = st.floats(-math.pi, math.pi, exclude_max=True)
+yaws = st.one_of(
+    in_range,
+    in_range,
+    st.sampled_from((math.pi, -math.pi, math.nextafter(math.pi, 0), math.nextafter(-math.pi, -4),
+                     4.0, math.nan, math.inf)),
+)
+times = st.one_of(
+    st.floats(0, 1e6),
+    st.floats(0, 1e6),
+    st.sampled_from((0.0, -0.0, -1.0, -5e-324, math.inf, -math.inf, math.nan)),
+)
+texts = st.sampled_from(("chair", "a chair by the wall", "chair", ""))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pose=st.builds(Pose, scalars, scalars, scalars, yaws),
+    time=times,
+    labels=st.lists(st.builds(Label, texts, embeddings()), max_size=2),
+    caption=st.none() | st.builds(Caption, texts, embeddings()),
+)
+def test_fast_accept_gives_the_full_checks_verdict(pose, time, labels, caption):
+    obs = Observation("f", pose, time, tuple(labels), caption)
+    full = _violations(obs, CFG)
+    if _fast_accept(obs, CFG):
+        assert full.ok
+    assert validate_observation(obs, CFG) == full
+    if full.ok:
+        ensure_valid(obs, CFG)
+    else:
+        with pytest.raises(ValueError) as err:
+            ensure_valid(obs, CFG)
+        assert str(err.value) == "invalid observation 'f': " + "; ".join(full.violations)
+
+
+def _with_nan(vec: np.ndarray) -> np.ndarray:
+    vec = vec.copy()
+    vec[3] = math.nan
+    return vec
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        dict(pose=Pose(math.nan, 2.0, 0.0, 0.25)),
+        dict(pose=Pose(1.0, math.inf, 0.0, 0.25)),
+        dict(pose=Pose(1.0, 2.0, -math.inf, 0.25)),
+        dict(pose=Pose(1.0, 2.0, 0.0, math.pi)),
+        dict(pose=Pose(1.0, 2.0, 0.0, math.nan)),
+        dict(time=-1.0),
+        dict(time=math.inf),
+        dict(time=math.nan),
+        dict(labels=(Label("", unit(1)),)),
+        dict(caption=Caption("", unit(2))),
+        dict(caption=Caption("a chair", unit(2) * (1 + 1.5 * EMBEDDING_NORM_TOL))),
+        dict(caption=Caption("a chair", unit(2) * (1 + 0.75 * EMBEDDING_NORM_TOL))),  # valid
+        dict(labels=(Label("chair", _with_nan(unit(1)).astype(np.float32)),)),
+        dict(labels=(Label("chair", unit(1)), Label("desk", unit(3).reshape(1, DIM)))),
+        dict(labels=(Label("chair", unit(1)[:-1]),)),
+        dict(labels=(Label("chair", unit(1).tolist()),)),
+        dict(caption=Caption("a chair", None)),
+        dict(caption=Caption("a chair", np.eye(DIM, dtype=np.int64)[0])),  # valid
+    ],
+)
+def test_fast_accept_refuses_each_single_fault(fault):
+    obs = make_obs(**fault)
+    assert not _fast_accept(obs, CFG)
+    assert validate_observation(obs, CFG) == _violations(obs, CFG)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fast_accept_takes_unit_vectors(dtype):
+    obs = make_obs(labels=(Label("chair", unit(1).astype(dtype)),),
+                   caption=Caption("a chair", unit(2).astype(dtype)))
+    assert _fast_accept(obs, CFG)
+    assert _fast_accept(make_obs(pose=Pose(0.0, 0.0, 0.0, -math.pi), time=-0.0), CFG)
+    assert not _fast_accept(make_obs(pose=Pose(0.0, 0.0, 0.0, math.pi)), CFG)
 
 
 def test_pose_position_vector():

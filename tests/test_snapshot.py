@@ -163,8 +163,7 @@ class TestRoundTrip:
                 labels=(Label(f"thing {i}", e[0]),),
                 caption=Caption(f"scene {i}", e[1]),
             )
-            state.graph.ingest_observation(obs)
-            state.captions.insert_caption(obs)
+            state.ingest(obs)
         before = query_fingerprint(state)
         path = tmp_path / "s.lgrsnap"
         save_snapshot(state, path)
