@@ -22,6 +22,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -146,6 +147,17 @@ def _fields(obj: dict) -> tuple[str, float, Pose, tuple[str, ...], str, Optional
     return frame_id, t, pose, labels, caption, encoded
 
 
+def _check_period(period: float) -> None:
+    if period <= 0:
+        raise ValueError(f"period must be > 0, got {period}")
+
+
+def _keeps(last_t: Optional[float], t: float, period: float) -> bool:
+    """The subsampling rule: keep the first record, then each record whose
+    t is at least ``period`` past the last kept record's t."""
+    return last_t is None or t >= last_t + period
+
+
 def _iter_log_records(
     path: str | Path, period: Optional[float] = None
 ) -> Iterator[LogRecord]:
@@ -155,6 +167,8 @@ def _iter_log_records(
     keep. Every line is checked the same either way, but the vectors of a
     dropped line are only checked, never decoded.
     """
+    if period is not None:
+        _check_period(period)
     path = Path(path)
     prev_t: Optional[float] = None
     last_kept: Optional[float] = None
@@ -166,7 +180,7 @@ def _iter_log_records(
             try:
                 obj = json.loads(line)
                 frame_id, t, pose, labels, caption, encoded = _fields(obj)
-                keep = period is None or last_kept is None or t >= last_kept + period
+                keep = period is None or _keeps(last_kept, t, period)
                 vector = decode_vector if keep else _check_vector
                 label_embeddings = None if encoded is None else tuple(map(vector, encoded))
                 caption_embedding = obj.get("caption_embedding")
@@ -209,12 +223,11 @@ def subsample(records: Iterable[LogRecord], period: float) -> list[LogRecord]:
     A record survives iff its t is at least ``period`` past the last kept
     record's t.
     """
-    if period <= 0:
-        raise ValueError(f"period must be > 0, got {period}")
+    _check_period(period)
     kept: list[LogRecord] = []
     last_t: Optional[float] = None
     for record in records:
-        if last_t is None or record.t >= last_t + period:
+        if _keeps(last_t, record.t, period):
             kept.append(record)
             last_t = record.t
     return kept
@@ -265,8 +278,9 @@ def load_log(
 
     Yields observations in log order. The first ``next()`` parses and
     checks every line but decodes and holds only the records that survive
-    subsampling; embedding work happens only for those.
+    subsampling; embedding work happens only for those. Each record is
+    released as it is converted.
     """
-    kept = list(_iter_log_records(path, cfg.subsample_period))
-    for record in kept:
-        yield record_to_observation(record, cfg, provider)
+    kept = deque(_iter_log_records(path, cfg.subsample_period))
+    while kept:
+        yield record_to_observation(kept.popleft(), cfg, provider)

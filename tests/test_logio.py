@@ -26,7 +26,7 @@ from lgr import (
     subsample,
     write_log,
 )
-from lgr.logio import _check_vector, _is_canonical_vector
+from lgr.logio import _check_vector, _is_canonical_vector, _iter_log_records
 
 
 def rec(frame: str, t: float, labels=(), caption="", **kw) -> LogRecord:
@@ -168,6 +168,13 @@ class TestSubsample:
     def test_zero_period_rejected(self):
         with pytest.raises(ValueError):
             subsample([], 0.0)
+
+    @pytest.mark.parametrize("period", [0.0, -2.0])
+    def test_subsampling_reader_rejects_the_same_periods(self, period, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_log([rec("f0", 0.0)], path)
+        with pytest.raises(ValueError, match="period must be > 0"):
+            list(_iter_log_records(path, period))
 
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=60))
     def test_kept_records_never_closer_than_period(self, times):

@@ -18,7 +18,7 @@ from lgr import (
     validate_observation,
 )
 from lgr.embedding import l2_normalize
-from lgr.model import EMBEDDING_NORM_TOL, _fast_accept, _violations
+from lgr.model import EMBEDDING_NORM_TOL, _embedding_violations
 
 DIM = 8
 CFG = Config(embedding_dim=DIM)
@@ -149,19 +149,37 @@ class TestValidateObservation:
 
 
 TOL = EMBEDDING_NORM_TOL
-INSIDE = (1.0, 1 + TOL / 2, 1 - TOL / 2, 1 + 0.49 * TOL, 1 - 0.51 * TOL, 1 + 0.999 * TOL,
-          1 - 0.999 * TOL, 1 + TOL, 1 - TOL)  # the last two round to either side
+INSIDE = (1.0, 1 + TOL / 2, 1 - TOL / 2, 1 + 0.999 * TOL, 1 - 0.999 * TOL,
+          1 + TOL, 1 - TOL)  # the last two round to either side
 OUTSIDE = (1 + 1.001 * TOL, 1 - 1.001 * TOL, 1 + 2 * TOL, 1.5, 0.0)
+
+
+def _norm_reference(vec, dim: int, what: str) -> list[str]:
+    """The embedding check written out component by component: every
+    value finite, then ``np.linalg.norm`` of the float64 copy."""
+    if not isinstance(vec, np.ndarray):
+        return [f"{what}: embedding must be a numpy array"]
+    if vec.ndim != 1 or vec.shape[0] != dim:
+        shape = vec.shape[0] if vec.ndim == 1 else vec.shape
+        return [f"{what}: dimension mismatch (expected {dim}, got {shape})"]
+    v64 = vec.astype(np.float64)
+    if not np.all(np.isfinite(v64)):
+        return [f"{what}: non-finite embedding values"]
+    norm = float(np.linalg.norm(v64))
+    if abs(norm - 1.0) > EMBEDDING_NORM_TOL:
+        return [f"{what}: embedding not L2-normalized (norm={norm:.8f})"]
+    return []
 
 
 @st.composite
 def embeddings(draw):
     """Unit vectors scaled to norms at, inside and outside the tolerance,
-    in float32 or float64, and values the full check refuses."""
-    vec = unit(draw(st.integers(0, 50))) * draw(st.sampled_from(INSIDE * 3 + OUTSIDE))
+    in float32 or float64, and values the check refuses."""
+    scale = draw(st.sampled_from(INSIDE * 3 + OUTSIDE))
+    vec = unit(draw(st.integers(0, 50))).astype(np.float64) * scale
     kind = draw(st.sampled_from(  # mostly well-formed, so whole observations often pass
         ("float64",) * 6 + ("float32",) * 6
-        + ("non-finite", "wrong dim", "2-d", "list", "int", "none")
+        + ("non-finite", "overflow", "strided", "wrong dim", "2-d", "list", "int", "none")
     ))
     if kind == "float32":
         return vec.astype(np.float32)
@@ -169,6 +187,11 @@ def embeddings(draw):
         vec = vec.astype(draw(st.sampled_from((np.float32, np.float64))))
         vec[draw(st.integers(0, DIM - 1))] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
         return vec
+    if kind == "overflow":  # finite values whose sum of squares is inf
+        vec[draw(st.integers(0, DIM - 1))] = draw(st.sampled_from((1e200, -1e300)))
+        return vec
+    if kind == "strided":  # a non-contiguous view
+        return np.stack([vec, vec[::-1]], axis=1)[:, 0]
     if kind == "wrong dim":
         return l2_normalize(np.ones(draw(st.sampled_from((1, DIM - 1, DIM + 1)))))
     if kind == "2-d":
@@ -180,6 +203,12 @@ def embeddings(draw):
     if kind == "none":
         return None
     return vec
+
+
+@settings(max_examples=400, deadline=None)
+@given(vec=embeddings())
+def test_embedding_check_equals_the_componentwise_reference(vec):
+    assert _embedding_violations(vec, DIM, "label 0") == _norm_reference(vec, DIM, "label 0")
 
 
 # each field is mostly valid, so whole observations often pass
@@ -208,18 +237,15 @@ texts = st.sampled_from(("chair", "a chair by the wall", "chair", ""))
     labels=st.lists(st.builds(Label, texts, embeddings()), max_size=2),
     caption=st.none() | st.builds(Caption, texts, embeddings()),
 )
-def test_fast_accept_gives_the_full_checks_verdict(pose, time, labels, caption):
+def test_ensure_valid_raises_exactly_the_violations(pose, time, labels, caption):
     obs = Observation("f", pose, time, tuple(labels), caption)
-    full = _violations(obs, CFG)
-    if _fast_accept(obs, CFG):
-        assert full.ok
-    assert validate_observation(obs, CFG) == full
-    if full.ok:
+    result = validate_observation(obs, CFG)
+    if result.ok:
         ensure_valid(obs, CFG)
     else:
         with pytest.raises(ValueError) as err:
             ensure_valid(obs, CFG)
-        assert str(err.value) == "invalid observation 'f': " + "; ".join(full.violations)
+        assert str(err.value) == "invalid observation 'f': " + "; ".join(result.violations)
 
 
 def _with_nan(vec: np.ndarray) -> np.ndarray:
@@ -229,41 +255,33 @@ def _with_nan(vec: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize(
-    "fault",
+    "fault, ok",
     [
-        dict(pose=Pose(math.nan, 2.0, 0.0, 0.25)),
-        dict(pose=Pose(1.0, math.inf, 0.0, 0.25)),
-        dict(pose=Pose(1.0, 2.0, -math.inf, 0.25)),
-        dict(pose=Pose(1.0, 2.0, 0.0, math.pi)),
-        dict(pose=Pose(1.0, 2.0, 0.0, math.nan)),
-        dict(time=-1.0),
-        dict(time=math.inf),
-        dict(time=math.nan),
-        dict(labels=(Label("", unit(1)),)),
-        dict(caption=Caption("", unit(2))),
-        dict(caption=Caption("a chair", unit(2) * (1 + 1.5 * EMBEDDING_NORM_TOL))),
-        dict(caption=Caption("a chair", unit(2) * (1 + 0.75 * EMBEDDING_NORM_TOL))),  # valid
-        dict(labels=(Label("chair", _with_nan(unit(1)).astype(np.float32)),)),
-        dict(labels=(Label("chair", unit(1)), Label("desk", unit(3).reshape(1, DIM)))),
-        dict(labels=(Label("chair", unit(1)[:-1]),)),
-        dict(labels=(Label("chair", unit(1).tolist()),)),
-        dict(caption=Caption("a chair", None)),
-        dict(caption=Caption("a chair", np.eye(DIM, dtype=np.int64)[0])),  # valid
+        (dict(pose=Pose(math.nan, 2.0, 0.0, 0.25)), False),
+        (dict(pose=Pose(1.0, math.inf, 0.0, 0.25)), False),
+        (dict(pose=Pose(1.0, 2.0, -math.inf, 0.25)), False),
+        (dict(pose=Pose(1.0, 2.0, 0.0, math.pi)), False),
+        (dict(pose=Pose(1.0, 2.0, 0.0, math.nan)), False),
+        (dict(pose=Pose(0.0, 0.0, 0.0, -math.pi), time=-0.0), True),
+        (dict(time=-1.0), False),
+        (dict(time=math.inf), False),
+        (dict(time=math.nan), False),
+        (dict(labels=(Label("", unit(1)),)), False),
+        (dict(caption=Caption("", unit(2))), False),
+        (dict(caption=Caption("a chair", unit(2) * (1 + 1.5 * TOL))), False),
+        (dict(caption=Caption("a chair", unit(2) * (1 + 0.75 * TOL))), True),
+        (dict(labels=(Label("chair", _with_nan(unit(1)).astype(np.float32)),)), False),
+        (dict(labels=(Label("chair", unit(1)), Label("desk", unit(3).reshape(1, DIM)))), False),
+        (dict(labels=(Label("chair", unit(1)[:-1]),)), False),
+        (dict(labels=(Label("chair", unit(1).tolist()),)), False),
+        (dict(caption=Caption("a chair", None)), False),
+        (dict(caption=Caption("a chair", np.eye(DIM, dtype=np.int64)[0])), True),
+        (dict(labels=(Label("chair", unit(1).astype(np.float32)),),
+              caption=Caption("a chair", unit(2).astype(np.float32))), True),
     ],
 )
-def test_fast_accept_refuses_each_single_fault(fault):
-    obs = make_obs(**fault)
-    assert not _fast_accept(obs, CFG)
-    assert validate_observation(obs, CFG) == _violations(obs, CFG)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_fast_accept_takes_unit_vectors(dtype):
-    obs = make_obs(labels=(Label("chair", unit(1).astype(dtype)),),
-                   caption=Caption("a chair", unit(2).astype(dtype)))
-    assert _fast_accept(obs, CFG)
-    assert _fast_accept(make_obs(pose=Pose(0.0, 0.0, 0.0, -math.pi), time=-0.0), CFG)
-    assert not _fast_accept(make_obs(pose=Pose(0.0, 0.0, 0.0, math.pi)), CFG)
+def test_each_single_field_decides_the_verdict(fault, ok):
+    assert validate_observation(make_obs(**fault), CFG).ok is ok
 
 
 def test_pose_position_vector():
