@@ -7,6 +7,7 @@ admit an ANN index, but approximate retrieval is out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +85,15 @@ class CaptionStore(RowStore):
 
     def query_position(self, pose: Pose, k: int) -> list[CaptionHit]:
         """Top-k by ascending L2 distance over x, y, z."""
+        x, y, z = pose.x, pose.y, pose.z
+        if not all(math.isfinite(v) for v in (x, y, z)):
+            raise ValueError(f"coordinates must be finite, got ({x}, {y}, {z})")
         return self._hits(Columns.top_distance, pose.position(), k)
 
     def query_time(self, t: float, k: int) -> list[CaptionHit]:
         """Top-k by ascending absolute time difference."""
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
         return self._hits(Columns.top_time_gap, t, k)
 
     def _hits(self, rank, arg, k: int) -> list[CaptionHit]:

@@ -1,7 +1,8 @@
 """Command-line surface: ingest a log, query a snapshot, evaluate, stats.
 
-Precedence for engine parameters: built-in defaults, then the config file
-(--config or $LGR_CONFIG), then command-line flags.
+Only ``ingest`` takes engine parameters: built-in defaults, overridden by
+the config file (--config or $LGR_CONFIG), overridden by command-line
+flags. ``query``, ``eval`` and ``stats`` read them from the snapshot.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ _QUERY_TOOLS = {t.cli_name: t for t in TOOLS}
 QUERY_TOOLS = (*_QUERY_TOOLS, "route")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file (also $LGR_CONFIG)")
-    parser.add_argument("--delta-p", type=float, help="spatial dedup radius, meters")
-    parser.add_argument("--delta-e", type=float, help="semantic dedup threshold")
-    parser.add_argument("--period", type=float, help="subsampling period, seconds")
-    parser.add_argument("--k", type=int, help="default top-k")
+def _provider_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="hash-provider seed")
     parser.add_argument(
         "--provider",
@@ -51,7 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="build both stores from a log")
     p_ingest.add_argument("log", help="observation log (JSON lines)")
     p_ingest.add_argument("--out", required=True, help="snapshot output path")
-    _common_flags(p_ingest)
+    p_ingest.add_argument("--config", help="JSON config file (also $LGR_CONFIG)")
+    p_ingest.add_argument("--delta-p", type=float, help="spatial dedup radius, meters")
+    p_ingest.add_argument("--delta-e", type=float, help="semantic dedup threshold")
+    p_ingest.add_argument("--period", type=float, help="subsampling period, seconds")
+    p_ingest.add_argument("--k", type=int, help="default top-k")
+    _provider_flags(p_ingest)
 
     p_query = sub.add_parser("query", help="run one retrieval tool on a snapshot")
     p_query.add_argument("snapshot")
@@ -70,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="persist updated session stats back into the snapshot (route only)",
     )
-    _common_flags(p_query)
+    p_query.add_argument("--k", type=int, help="top-k (default: the snapshot's)")
+    _provider_flags(p_query)
 
     p_eval = sub.add_parser("eval", help="score QA items against a snapshot")
     p_eval.add_argument("snapshot")
@@ -81,27 +83,26 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="persist updated session stats back into the snapshot",
     )
-    _common_flags(p_eval)
+    p_eval.add_argument("--k", type=int, help="top-k (default: the snapshot's)")
 
     p_stats = sub.add_parser("stats", help="print store sizes and fallback rate")
     p_stats.add_argument("snapshot")
-    _common_flags(p_stats)
 
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
     values = Config().to_dict()
-    config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
         values.update(Config.from_dict(file_values).to_dict())
     overrides = {
-        "delta_p": getattr(args, "delta_p", None),
-        "delta_e": getattr(args, "delta_e", None),
-        "subsample_period": getattr(args, "period", None),
-        "default_k": getattr(args, "k", None),
+        "delta_p": args.delta_p,
+        "delta_e": args.delta_e,
+        "subsample_period": args.period,
+        "default_k": args.k,
     }
     values.update({k: v for k, v in overrides.items() if v is not None})
     return Config.from_dict(values)
@@ -157,17 +158,28 @@ def _require(args: argparse.Namespace, names: Sequence[str], tool: str) -> None:
         raise ValueError(f"tool {tool!r} needs --" + ", --".join(missing))
 
 
+def _router(state: SessionState, provider: EmbeddingProvider, k: int) -> Router:
+    """The routed-query setup ``lgr query ... route`` and ``lgr eval`` share."""
+    return Router(
+        state.graph,
+        state.captions,
+        provider,
+        RuleBasedPlanner(k=k),
+        cfg=state.cfg,
+        stats=state.stats,
+    )
+
+
 def cmd_query(args: argparse.Namespace) -> int:
     if args.tool not in QUERY_TOOLS:
         print(f"unknown tool: {args.tool!r} (expected one of {', '.join(QUERY_TOOLS)})",
               file=sys.stderr)
         return 2
     state = load_snapshot(args.snapshot)
-    cfg = state.cfg
     provider = state.provider
     if args.provider is not None:
-        provider = resolve_provider(args.provider, cfg, args.seed)
-    k = args.k if args.k is not None else cfg.default_k
+        provider = resolve_provider(args.provider, state.cfg, args.seed)
+    k = args.k if args.k is not None else state.cfg.default_k
     tool = _QUERY_TOOLS.get(args.tool)
     if tool is not None:
         names = [n for n, _ in tool.params if n != "k"]
@@ -178,16 +190,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         _print([h.to_dict() for h in hits])
     else:  # route
         _require(args, ("query",), args.tool)
-        router = Router(
-            state.graph,
-            state.captions,
-            provider,
-            RuleBasedPlanner(k=k),
-            cfg=cfg,
-            stats=state.stats,
-        )
-        answer = router.answer_query(args.query)
-        _print(answer.to_dict())
+        _print(_router(state, provider, k).answer_query(args.query).to_dict())
         if args.update_snapshot:
             save_snapshot(state, args.snapshot)
     return 0
@@ -197,15 +200,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     state = load_snapshot(args.snapshot)
     items = load_qa_items(args.qa)
     k = args.k if args.k is not None else state.cfg.default_k
-    router = Router(
-        state.graph,
-        state.captions,
-        state.provider,
-        RuleBasedPlanner(k=k),
-        cfg=state.cfg,
-        stats=state.stats,
-    )
-    report = evaluate(router, items)
+    report = evaluate(_router(state, state.provider, k), items)
     if args.format == "table":
         print(report.to_table())
     else:

@@ -154,15 +154,15 @@ class EvalReport:
             ],
         }
 
-    def to_table(self, sep: str = "\t") -> str:
-        """Delimited per-item table with a trailing summary line."""
-        header = sep.join(
+    def to_table(self) -> str:
+        """Tab-separated per-item table with a trailing summary line."""
+        header = "\t".join(
             ("question", "kind", "answered", "correct", "error", "latency_s", "trace")
         )
         lines = [header]
         for r in self.rows:
             lines.append(
-                sep.join(
+                "\t".join(
                     (
                         r.question,
                         r.kind,
@@ -176,7 +176,7 @@ class EvalReport:
             )
         fmt = lambda v: "" if v is None else f"{v:.6f}"
         lines.append(
-            sep.join(
+            "\t".join(
                 (
                     "# summary",
                     "",

@@ -235,40 +235,30 @@ class Router:
         t0 = time.perf_counter()
         context: list[ToolResult] = []
         used_vector = False
-        outcome: Optional[AnswerAction | GiveUpAction] = None
         truncated = False
         for _ in range(self._cfg.max_planner_iterations):
             action = self._planner.next_action(query, tuple(context))
             if isinstance(action, (AnswerAction, GiveUpAction)):
-                outcome = action
                 break
             result = self._dispatch(action)
             context.append(result)
             used_vector = used_vector or result.vector
-        if outcome is None:
-            outcome = GiveUpAction("iteration limit reached")
-            truncated = True
-        elapsed = time.perf_counter() - t0
-        if isinstance(outcome, GiveUpAction):
-            answer = Answer(
-                text=outcome.reason,
-                pose=None,
-                time=None,
-                trace=tuple(context),
-                elapsed=elapsed,
-                gave_up=True,
-                truncated=truncated,
-            )
         else:
-            answer = Answer(
-                text=outcome.text,
-                pose=outcome.pose,
-                time=outcome.time,
-                trace=tuple(context),
-                elapsed=elapsed,
-            )
+            action, truncated = GiveUpAction("iteration limit reached"), True
+        gave_up = isinstance(action, GiveUpAction)
+        if gave_up:
+            action = AnswerAction(text=action.reason)
+        elapsed = time.perf_counter() - t0
         self.stats.record([r.tool for r in context], elapsed, used_vector)
-        return answer
+        return Answer(
+            text=action.text,
+            pose=action.pose,
+            time=action.time,
+            trace=tuple(context),
+            elapsed=elapsed,
+            gave_up=gave_up,
+            truncated=truncated,
+        )
 
     # -- internals -------------------------------------------------------
 
@@ -294,6 +284,9 @@ _COORD_RE = re.compile(
 )
 _WORD_RE = re.compile(r"[a-z']+")
 
+# semantic graph hits scoring below this fall back to the caption store
+RELEVANCE_FLOOR = 0.45
+
 _STOPWORDS = frozenset(
     """
     a an the and or of is are was were be been being do does did done you your
@@ -311,7 +304,7 @@ class RuleBasedPlanner(Planner):
     """Deterministic keyword router standing in for an LLM planner.
 
     The first action always queries the graph. If the best graph hit is
-    weak (semantic score below the relevance floor) or absent, the second
+    weak (semantic score below ``RELEVANCE_FLOOR``) or absent, the second
     action falls back to the caption store; the answer then comes from the
     top caption record. Queries carrying an explicit hh:mm:ss clock go to
     the temporal tool, queries carrying "near (x, y, z)" coordinates to the
@@ -319,23 +312,22 @@ class RuleBasedPlanner(Planner):
     left once routing keywords are stripped.
     """
 
-    def __init__(self, k: int = 5, relevance_floor: float = 0.45):
+    def __init__(self, k: int = 5):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self._k = k
-        self._floor = relevance_floor
 
     def next_action(self, query: str, context: Sequence[ToolResult]) -> Action:
         kind, subject, clock, coords = self._classify(query)
         if not context:
-            return self._first_call(kind, subject, clock, coords)
+            return self._calls(kind, subject, clock, coords)[0]
         last = context[-1]
         if last.tool in GRAPH_TOOLS:
             if last.ok and last.hits:
                 top = last.hits[0]
-                if last.tool != "t_semantic" or top.score >= self._floor:
+                if last.tool != "t_semantic" or top.score >= RELEVANCE_FLOOR:
                     return self._answer_from_node(kind, top)
-            return self._fallback_call(kind, subject, clock, coords)
+            return self._calls(kind, subject, clock, coords)[1]
         if last.tool in VECTOR_TOOLS:
             if last.ok and last.hits:
                 return self._answer_from_caption(last.hits[0])
@@ -362,24 +354,22 @@ class RuleBasedPlanner(Planner):
             kind = "descriptive"
         return kind, subject, clock, coords
 
-    def _first_call(self, kind, subject, clock, coords) -> CallTool:
-        if kind == "at_time":
-            hh, mm, ss = (int(g) for g in clock.groups())
-            return CallTool("t_time", {"hh": hh, "mm": mm, "ss": ss, "k": self._k})
-        if kind == "position":
-            x, y, z = (float(g) for g in coords.groups())
-            return CallTool("t_position", {"x": x, "y": y, "z": z, "k": self._k})
-        return CallTool("t_semantic", {"query": subject, "k": self._k})
-
-    def _fallback_call(self, kind, subject, clock, coords) -> CallTool:
+    def _calls(self, kind, subject, clock, coords) -> tuple[CallTool, CallTool]:
+        """The graph call for a query and its caption-store fallback."""
+        k = self._k
         if kind == "at_time":
             hh, mm, ss = (int(g) for g in clock.groups())
             t = time_components_to_seconds(hh, mm, ss)
-            return CallTool("captions_time", {"t": t, "k": self._k})
+            return (
+                CallTool("t_time", {"hh": hh, "mm": mm, "ss": ss, "k": k}),
+                CallTool("captions_time", {"t": t, "k": k}),
+            )
         if kind == "position":
             x, y, z = (float(g) for g in coords.groups())
-            return CallTool("captions_position", {"x": x, "y": y, "z": z, "k": self._k})
-        return CallTool("captions_text", {"query": subject, "k": self._k})
+            xyz = {"x": x, "y": y, "z": z, "k": k}
+            return CallTool("t_position", xyz), CallTool("captions_position", xyz)
+        text = {"query": subject, "k": k}
+        return CallTool("t_semantic", text), CallTool("captions_text", text)
 
     @staticmethod
     def _answer_from_node(kind: str, hit: RetrievalHit) -> AnswerAction:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from lgr import LogRecord, Pose, QAItem, save_qa_items, write_log
-from lgr.cli import main
+from lgr.cli import build_parser, main
 from lgr.snapshot import load_snapshot
 
 
@@ -236,3 +237,39 @@ class TestProviderFlag:
         )
         assert code == 1
         assert "unknown provider" in err
+
+
+class TestOptionSets:
+    """Each subcommand takes only the options it reads; argparse refuses the rest."""
+
+    EXPECTED = {
+        "ingest": ["--out", "--config", "--delta-p", "--delta-e", "--period", "--k",
+                   "--seed", "--provider"],
+        "query": ["--query", "--x", "--y", "--z", "--hh", "--mm", "--ss", "--t",
+                  "--update-snapshot", "--k", "--seed", "--provider"],
+        "eval": ["--format", "--update-snapshot", "--k"],
+        "stats": [],
+    }
+
+    def test_option_strings_per_subcommand(self):
+        actions = build_parser()._actions
+        (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, p in sub.choices.items()
+        }
+        assert options == self.EXPECTED
+
+    def test_unread_options_are_refused(self, tmp_path, snapshot, capsys):
+        qa = tmp_path / "qa.jsonl"
+        save_qa_items([QAItem("where is the bench?", "spatial", gt_pose=Pose(5, 0))], qa)
+        for argv in (
+            ["stats", snapshot, "--delta-p", "3"],
+            ["eval", snapshot, qa, "--provider", "hash"],
+            ["query", snapshot, "semantic", "--query", "x", "--config", "c.json"],
+            ["eval", snapshot, qa, "--seed", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([str(a) for a in argv])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

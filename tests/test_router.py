@@ -285,3 +285,52 @@ class TestAnswerShape:
         assert d["pose"]["x"] == 1.0
         assert d["trace"][0]["tool"] == "t_semantic"
         assert isinstance(d["elapsed"], float)
+
+
+class TestCaptionFallback:
+    """When the graph has nothing, each query shape falls back to its
+    caption-store twin with the same parsed arguments."""
+
+    def fallback(self, query, k=4):
+        cfg, provider, graph, captions = make_state()
+        add_caption(captions, provider, "boxes on a shelf", Pose(0.0, 2.0), 5.0)
+        router = Router(graph, captions, provider, RuleBasedPlanner(k=k), cfg=cfg)
+        answer = router.answer_query(query)
+        assert not answer.gave_up
+        assert [r.ok for r in answer.trace] == [True, True]
+        assert answer.trace[0].hits == []
+        return [(r.tool, r.args) for r in answer.trace]
+
+    @pytest.mark.parametrize(
+        "clock, hms",
+        [("00:01:40", (0, 1, 40)), ("7:05:09", (7, 5, 9)), ("125:59:00", (125, 59, 0))],
+    )
+    def test_clock_query_falls_back_to_captions_time(self, clock, hms):
+        hh, mm, ss = hms
+        assert self.fallback(f"what did you see at {clock}?") == [
+            ("t_time", {"hh": hh, "mm": mm, "ss": ss, "k": 4}),
+            ("captions_time", {"t": 3600.0 * hh + 60.0 * mm + ss, "k": 4}),
+        ]
+
+    @pytest.mark.parametrize(
+        "coords, xyz",
+        [("(10.0, 10.0, 0.0)", (10.0, 10.0, 0.0)), ("(-3.25, 7, -0.5)", (-3.25, 7.0, -0.5)),
+         ("1, -2.5, 3", (1.0, -2.5, 3.0))],
+    )
+    def test_near_query_falls_back_to_captions_position(self, coords, xyz):
+        x, y, z = xyz
+        assert self.fallback(f"what is near {coords}?", k=2) == [
+            ("t_position", {"x": x, "y": y, "z": z, "k": 2}),
+            ("captions_position", {"x": x, "y": y, "z": z, "k": 2}),
+        ]
+
+    @pytest.mark.parametrize(
+        "query, subject",
+        [("where is the red crate?", "red crate"), ("describe the kitchen", "kitchen"),
+         ("when did you last see the bench?", "bench")],
+    )
+    def test_descriptive_query_falls_back_to_captions_text(self, query, subject):
+        assert self.fallback(query, k=1) == [
+            ("t_semantic", {"query": subject, "k": 1}),
+            ("captions_text", {"query": subject, "k": 1}),
+        ]

@@ -169,3 +169,43 @@ def test_cli_names():
         "captions-position",
         "captions-time",
     ]
+
+
+NUMBER_PARAMS = [(t, n) for t in TOOLS for n, typ in t.params if typ == "number"]
+
+
+def test_number_params_listed():
+    assert [(t.name, n) for t, n in NUMBER_PARAMS] == [
+        ("t_position", "x"),
+        ("t_position", "y"),
+        ("t_position", "z"),
+        ("captions_position", "x"),
+        ("captions_position", "y"),
+        ("captions_position", "z"),
+        ("captions_time", "t"),
+    ]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize(
+    "tool, name", NUMBER_PARAMS, ids=[f"{t.name}.{n}" for t, n in NUMBER_PARAMS]
+)
+def test_number_params_refuse_non_finite(tool, name, bad, snapshot, capsys):
+    state = load_snapshot(snapshot)
+    args = {**ARGS[tool.name], name: bad}
+    with pytest.raises(ValueError, match="must be finite"):
+        DIRECT[tool.name](state, args)
+    with pytest.raises(ValueError, match="must be finite"):
+        tool.run(state.graph, state.captions, state.provider, **args)
+
+    planner = ScriptedPlanner({"q": [CallTool(tool.name, args), GiveUpAction("done")]})
+    router = Router(state.graph, state.captions, state.provider, planner, cfg=state.cfg)
+    (result,) = router.answer_query("q").trace
+    assert not result.ok and result.hits is None
+    assert "must be finite" in result.error
+
+    argv = ["query", str(snapshot), tool.cli_name, *(f"--{n}={v}" for n, v in args.items())]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "must be finite" in out.err
