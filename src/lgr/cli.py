@@ -29,7 +29,7 @@ QUERY_TOOLS = (*_QUERY_TOOLS, "route")
 
 
 def _provider_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="hash-provider seed")
+    parser.add_argument("--seed", type=int, help="hash-provider seed (default 0)")
     parser.add_argument(
         "--provider",
         default=None,
@@ -85,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--k", type=int, help="top-k (default: the snapshot's)")
 
-    p_stats = sub.add_parser("stats", help="print store sizes and fallback rate")
+    p_stats = sub.add_parser(
+        "stats", help="print store sizes, distinct stored vectors and fallback rate"
+    )
     p_stats.add_argument("snapshot")
 
     return parser
@@ -108,8 +110,8 @@ def resolve_config(args: argparse.Namespace) -> Config:
     return Config.from_dict(values)
 
 
-def resolve_provider(spec: Optional[str], cfg: Config, seed: int) -> EmbeddingProvider:
-    spec = spec or "hash"
+def resolve_provider(spec: Optional[str], cfg: Config, seed: Optional[int]) -> EmbeddingProvider:
+    spec, seed = spec or "hash", seed or 0
     if spec == "hash":
         return HashProvider(seed=seed, dim=cfg.embedding_dim)
     if spec.startswith("fixture:"):
@@ -170,11 +172,21 @@ def _router(state: SessionState, provider: EmbeddingProvider, k: int) -> Router:
     )
 
 
+def _usage_error(message: str) -> int:
+    """Report an option combination the command would not act on; exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_query(args: argparse.Namespace) -> int:
     if args.tool not in QUERY_TOOLS:
-        print(f"unknown tool: {args.tool!r} (expected one of {', '.join(QUERY_TOOLS)})",
-              file=sys.stderr)
-        return 2
+        return _usage_error(
+            f"unknown tool: {args.tool!r} (expected one of {', '.join(QUERY_TOOLS)})"
+        )
+    if args.update_snapshot and args.tool != "route":
+        return _usage_error("--update-snapshot is read only by the route tool")
+    if args.seed is not None and args.provider is None:
+        return _usage_error("--seed is read only with --provider")
     state = load_snapshot(args.snapshot)
     provider = state.provider
     if args.provider is not None:
@@ -217,7 +229,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         {
             "format_version": ".".join(map(str, state.format_version)),
             "nodes": state.graph.node_count(),
+            "node_vectors": state.graph.vector_count(),
             "caption_records": state.captions.record_count(),
+            "caption_vectors": state.captions.vector_count(),
             "n_queries": stats.n_queries,
             "n_vector_calls": stats.n_vector_calls,
             "fallback": fallback_percentage(stats) if stats.n_queries else None,

@@ -13,7 +13,7 @@ import re
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .captions import CaptionHit, CaptionStore
@@ -300,6 +300,31 @@ _STOPWORDS = frozenset(
 )
 
 
+@lru_cache(maxsize=1024)
+def _classify(query: str):
+    """(kind, subject, clock match, coordinates match) of a question.
+
+    Every step of a routed question needs the parse, so it is cached by
+    query string; the bound keeps a long session's cache small.
+    """
+    q = query.lower()
+    clock = _CLOCK_RE.search(q)
+    coords = _COORD_RE.search(q)
+    words = _WORD_RE.findall(q)
+    subject = " ".join(w for w in words if w not in _STOPWORDS) or q.strip()
+    if clock:
+        kind = "at_time"
+    elif "when" in words:
+        kind = "temporal"
+    elif coords:
+        kind = "position"
+    elif any(w in words for w in ("where", "closest", "nearest", "find", "locate")):
+        kind = "spatial"
+    else:
+        kind = "descriptive"
+    return kind, subject, clock, coords
+
+
 class RuleBasedPlanner(Planner):
     """Deterministic keyword router standing in for an LLM planner.
 
@@ -318,7 +343,7 @@ class RuleBasedPlanner(Planner):
         self._k = k
 
     def next_action(self, query: str, context: Sequence[ToolResult]) -> Action:
-        kind, subject, clock, coords = self._classify(query)
+        kind, subject, clock, coords = _classify(query)
         if not context:
             return self._calls(kind, subject, clock, coords)[0]
         last = context[-1]
@@ -335,24 +360,6 @@ class RuleBasedPlanner(Planner):
         return GiveUpAction(f"unexpected tool in context: {last.tool}")
 
     # -- routing table ---------------------------------------------------
-
-    def _classify(self, query: str):
-        q = query.lower()
-        clock = _CLOCK_RE.search(q)
-        coords = _COORD_RE.search(q)
-        words = _WORD_RE.findall(q)
-        subject = " ".join(w for w in words if w not in _STOPWORDS) or q.strip()
-        if clock:
-            kind = "at_time"
-        elif "when" in words:
-            kind = "temporal"
-        elif coords:
-            kind = "position"
-        elif any(w in words for w in ("where", "closest", "nearest", "find", "locate")):
-            kind = "spatial"
-        else:
-            kind = "descriptive"
-        return kind, subject, clock, coords
 
     def _calls(self, kind, subject, clock, coords) -> tuple[CallTool, CallTool]:
         """The graph call for a query and its caption-store fallback."""

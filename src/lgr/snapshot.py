@@ -1,24 +1,31 @@
 """Versioned, checksummed persistence for a whole session.
 
-Format 2.0 layout: one JSON header line (format name, version, payload
+Format 2.1 layout: one JSON header line (format name, version, payload
 length ``payload_bytes``, meta length ``meta_bytes`` and the payload
 SHA-256), then the payload: the meta JSON (config, provider, node and
-record fields other than embeddings, next ids, stats), the graph block
-and the caption block. Each block holds the embeddings as row-major
-little-endian float32, in id order, ``count * embedding_dim * 4`` bytes.
-Both stores keep float32 embeddings, so retrieval is bit-identical across
-a save/load round trip.
+record fields other than embeddings, each store's count of stored
+vectors ``vectors``, next ids, stats), the graph's and then the caption
+store's ``uid`` column, and the graph's and then the caption store's
+vector block. A ``uid`` column gives each item, in id order, the row of
+its store's block that holds its embedding, as little-endian int64
+(``count * 8`` bytes). A block holds each store's distinct stored
+vectors as row-major little-endian float32 (``vectors * embedding_dim *
+4`` bytes), so a vector that many items share is written once. Both
+stores keep float32 embeddings, so retrieval is bit-identical across a
+save/load round trip.
 
-Loading verifies the frame, the lengths and the checksum before any
-state is constructed, so a corrupt or truncated file can never leave
-partial state behind. The blocks are read into one buffer, which is the
-only copy of the embeddings: each store adopts its read-only block as its
-first embedding chunk, and loaded items hold row views of it. A file
-whose items are out of id order costs one sorted copy. Saves write the
-stores' chunks as they are. Format 1.x files, whose payload is one JSON
-document with base64 vectors inline, still load: their vectors are decoded
-straight into one block per store, which is adopted the same way. Saves
-always write the current format.
+Loading verifies the frame, the lengths, the checksum and the ``uid``
+columns before any state is constructed, so a corrupt or truncated file
+can never leave partial state behind. The payload is read into one
+buffer, which is the only copy of the embeddings: each store adopts its
+read-only block as its first embedding chunk, with no copy and no
+hashing, and loaded items hold row views of it. Saves write the stores'
+chunks as they are. Format 2.0 files, whose blocks hold one vector per
+item and no ``uid`` columns, still load, as do format 1.x files, whose
+payload is one JSON document with base64 vectors inline: their vectors
+are decoded straight into one block per store, which is adopted the same
+way. Either gives one vector per item; a 2.0 file whose items are out of
+id order costs one sorted copy. Saves always write the current format.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .model import Config, Observation, Pose
 from .router import SessionStats
 
 FORMAT_NAME = "lgr-snapshot"
-FORMAT_VERSION = (2, 0)
+FORMAT_VERSION = (2, 1)
 _CHUNK = 1024  # embedding rows written and hashed at a time on save
 
 
@@ -169,26 +176,40 @@ def save_snapshot(state: SessionState, path: str | Path) -> None:
     at a time; the header goes first with a placeholder digest of the same
     length and is rewritten in place once the payload is hashed.
     """
-    nodes, node_blocks = state.graph._export()
-    records, record_blocks = state.captions._export()
+    nodes, node_blocks, node_uid = state.graph._export()
+    records, record_blocks, record_uid = state.captions._export()
+    vectors = [sum(b.shape[0] for b in bs) for bs in (node_blocks, record_blocks)]
     meta = {
         "config": state.cfg.to_dict(),
         "provider": provider_to_spec(state.provider),
-        "graph": {"next_id": state.graph.next_id, "nodes": [_node_to_dict(n) for n in nodes]},
+        "graph": {
+            "next_id": state.graph.next_id,
+            "nodes": [_node_to_dict(n) for n in nodes],
+            "vectors": vectors[0],
+        },
         "captions": {
             "next_id": state.captions.next_id,
             "records": [_record_to_dict(r) for r in records],
+            "vectors": vectors[1],
         },
         "stats": state.stats.to_dict(),
     }
     body = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload_bytes = len(body) + (len(nodes) + len(records)) * state.cfg.embedding_dim * 4
+    uids = [
+        (np.arange(len(items)) if uid is None else uid).astype("<i8", copy=False)
+        for items, uid in ((nodes, node_uid), (records, record_uid))
+    ]
+    payload_bytes = len(body) + sum(u.nbytes for u in uids)
+    payload_bytes += sum(vectors) * state.cfg.embedding_dim * 4
     sha = hashlib.sha256(body)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("wb") as fh:
         fh.write(_header(payload_bytes, len(body), "0" * sha.digest_size * 2))
         fh.write(body)
+        for part in uids:
+            sha.update(part)
+            fh.write(part)
         for block in node_blocks + record_blocks:
             for i in range(0, block.shape[0], _CHUNK):
                 part = block[i : i + _CHUNK].astype("<f4", copy=False)  # copies on big-endian hosts
@@ -231,18 +252,40 @@ def _read_header(line: bytes, path: Path) -> tuple[list[int], int, int, str]:
     return version, payload_bytes, meta_bytes, header.get("payload_sha256")
 
 
-def _split_blocks(blocks: np.ndarray, dim: int, n_nodes: int, n_records: int, path: Path):
-    """Read-only (nodes, records) float32 row arrays of the embedding blocks."""
-    expected = (n_nodes + n_records) * dim * 4
-    if blocks.size != expected:
+def _split_blocks(blocks: np.ndarray, dim: int, counts: list, vectors: list | None, path: Path):
+    """Read-only (node, record) float32 vector blocks and (node, record)
+    ``uid`` columns of a payload's binary part, for stores of ``counts``
+    items and ``vectors`` stored vectors. The uid columns are None for a
+    2.0 file (``vectors`` None), and for a store whose item i holds
+    vector i."""
+    uid_bytes = 0 if vectors is None else sum(counts) * 8
+    vectors = vectors or counts
+    expected = uid_bytes + sum(vectors) * dim * 4
+    if blocks.size != expected or min(vectors) < 0:
         raise SnapshotError(
             f"{path}: embedding blocks hold {blocks.size} bytes, expected {expected} "
-            f"for {n_nodes} nodes and {n_records} records of dimension {dim}"
+            f"for {counts[0]} nodes and {counts[1]} records of dimension {dim} "
+            f"({vectors[0]} and {vectors[1]} stored vectors)"
         )
     # astype copies only on a big-endian host
-    emb = blocks.view("<f4").reshape(-1, dim).astype(np.float32, copy=False)
+    emb = blocks[uid_bytes:].view("<f4").reshape(-1, dim).astype(np.float32, copy=False)
     emb.setflags(write=False)
-    return emb[:n_nodes], emb[n_nodes:]
+    uid = blocks[:uid_bytes].view("<i8").astype(np.int64, copy=False)
+    out, lo, at = [], 0, 0
+    for what, n, m in zip(("node", "record"), counts, vectors):
+        u = uid[at : at + n] if uid_bytes else None
+        if u is not None:
+            outside = u.size and (u.min() < 0 or u.max() >= m)
+            if outside or np.count_nonzero(np.bincount(u, minlength=m)) != m:
+                raise SnapshotError(
+                    f"{path}: the {what} uid column must use each of its {m} stored "
+                    f"vectors and no other"
+                )
+            if m == n and np.array_equal(u, np.arange(n)):
+                u = None  # one vector per item, in item order
+        out.append((emb[lo : lo + m], u))
+        lo, at = lo + m, at + n
+    return out
 
 
 def _decode_block(entries: list, dim: int) -> np.ndarray:
@@ -256,6 +299,11 @@ def _decode_block(entries: list, dim: int) -> np.ndarray:
         row[...] = e
     block.setflags(write=False)
     return block
+
+
+def _rows(block: np.ndarray, uid) -> list:
+    """Each item's embedding: a view of its row of ``block``."""
+    return list(block) if uid is None else [block[u] for u in uid.tolist()]
 
 
 def load_snapshot(path: str | Path) -> SessionState:
@@ -294,14 +342,19 @@ def load_snapshot(path: str | Path) -> SessionState:
         if version[0] < 2:
             node_block = _decode_block(g["nodes"], dim)
             record_block = _decode_block(c["records"], dim)
+            node_uid = record_uid = None
         else:
-            node_block, record_block = _split_blocks(
-                blocks, dim, len(g["nodes"]), len(c["records"]), path
+            counts = [len(g["nodes"]), len(c["records"])]
+            vectors = None if version < [2, 1] else [int(g["vectors"]), int(c["vectors"])]
+            (node_block, node_uid), (record_block, record_uid) = _split_blocks(
+                blocks, dim, counts, vectors, path
             )
-        nodes = [_node_from_dict(d, e) for d, e in zip(g["nodes"], node_block)]
-        graph = MemoryGraph._restore(cfg, nodes, int(g["next_id"]), node_block)
-        records = [_record_from_dict(d, e) for d, e in zip(c["records"], record_block)]
-        captions = CaptionStore._restore(cfg, records, int(c["next_id"]), record_block)
+        nodes = [_node_from_dict(d, e) for d, e in zip(g["nodes"], _rows(node_block, node_uid))]
+        graph = MemoryGraph._restore(cfg, nodes, int(g["next_id"]), node_block, node_uid)
+        records = [
+            _record_from_dict(d, e) for d, e in zip(c["records"], _rows(record_block, record_uid))
+        ]
+        captions = CaptionStore._restore(cfg, records, int(c["next_id"]), record_block, record_uid)
         stats = SessionStats.from_dict(payload.get("stats", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path}: malformed snapshot payload: {exc}") from None

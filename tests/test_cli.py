@@ -202,7 +202,7 @@ class TestEvalAndStats:
 
         old = tmp_path / "old.lgrsnap"
         write_v1(load_snapshot(snapshot), old)
-        for snap, version in ((snapshot, "2.0"), (old, "1.0")):
+        for snap, version in ((snapshot, "2.1"), (old, "1.0")):
             code, out, err = run(capsys, "stats", snap)
             assert code == 0, err
             assert json.loads(out)["format_version"] == version
@@ -210,7 +210,7 @@ class TestEvalAndStats:
         code, _, err = run(capsys, "query", old, "route", "--query", "where is the hydrant?",
                            "--update-snapshot")
         assert code == 0, err
-        assert json.loads(run(capsys, "stats", old)[1])["format_version"] == "2.0"
+        assert json.loads(run(capsys, "stats", old)[1])["format_version"] == "2.1"
 
 
 class TestProviderFlag:
@@ -273,3 +273,49 @@ class TestOptionSets:
                 main([str(a) for a in argv])
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestQueryRefusals:
+    """``lgr query`` refuses option combinations it would not act on."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["semantic", "--query", "x", "--update-snapshot"], "--update-snapshot is read only"),
+            (["captions-time", "--t", "1", "--update-snapshot"], "--update-snapshot is read only"),
+            (["semantic", "--query", "hydrant", "--seed", "99"], "--seed is read only"),
+            (["route", "--query", "where is the hydrant", "--seed", "0"], "--seed is read only"),
+        ],
+    )
+    def test_exit_2_and_leave_the_snapshot(self, snapshot, capsys, argv, message):
+        before = snapshot.read_bytes()
+        code, out, err = run(capsys, "query", snapshot, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+        assert snapshot.read_bytes() == before
+
+    def test_seed_with_provider_and_update_with_route_still_act(self, snapshot, capsys):
+        code, out, err = run(capsys, "query", snapshot, "semantic", "--query", "hydrant",
+                             "--provider", "hash", "--seed", "99")
+        assert code == 0, err
+        code, _, err = run(capsys, "query", snapshot, "route", "--query", "where is the hydrant",
+                           "--update-snapshot")
+        assert code == 0, err
+        assert json.loads(run(capsys, "stats", snapshot)[1])["n_queries"] == 1
+
+
+def test_stats_reports_rows_and_distinct_vectors(tmp_path, capsys):
+    # a robot passing the same hydrant and bench every 100 m, under one of
+    # two captions: the hash provider gives a text the same vector each time
+    records = [
+        LogRecord(frame_id=f"f{i}", t=2.0 * i, pose=Pose(x=100.0 * i, y=0.0, z=0.0, yaw=0.0),
+                  labels=("hydrant", "bench"), caption=f"a brick path, side {i % 2}")
+        for i in range(5)
+    ]
+    log, snap = tmp_path / "walk.jsonl", tmp_path / "s.lgrsnap"
+    write_log(records, log)
+    code, _, err = run(capsys, "ingest", log, "--out", snap)
+    assert code == 0, err
+    stats = json.loads(run(capsys, "stats", snap)[1])
+    assert (stats["nodes"], stats["node_vectors"]) == (10, 2)
+    assert (stats["caption_records"], stats["caption_vectors"]) == (5, 2)

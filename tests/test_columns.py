@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,10 @@ from lgr import (
     MemoryGraph,
     Observation,
     Pose,
+    SessionState,
+    SessionStats,
+    load_snapshot,
+    save_snapshot,
     t_position,
     t_semantic,
     t_time,
@@ -347,8 +353,11 @@ def test_cosine_tools_equal_full_float64_scan(dim, n, seed, mode, log_norm, grow
         q *= 10.0**log_norm / np.linalg.norm(q)
     g, c = stores_of(Config(embedding_dim=dim), emb, pos, restored)
     for store in (g, c):  # the filter's bound holds row by row
-        eps = store._cols._eps(q)
-        assert eps < 1.0 and np.all(np.abs(store._cols._scores32(q) - full_scan(emb, q)) <= eps)
+        cols = store._cols
+        eps, s32 = cols._eps(q), cols._scores32(q)  # one float32 score per stored vector
+        if cols.uid is not None:
+            s32 = s32[cols.uid[:n]]
+        assert eps < 1.0 and np.all(np.abs(s32 - full_scan(emb, q)) <= eps)
     ks = {1, n, n + 1, n + 2, data.draw(st.integers(1, n + 2))} - {0}
     for k in sorted(ks):
         want = full_scan_top(emb, q, k)
@@ -439,7 +448,10 @@ def test_tools_and_gate_equal_oracles_across_chunks(chunk, restored, ingested, s
             emb[b], dup[b] = emb[b - 1], True
     with mock.patch.object(columns, "_CHUNK", chunk):
         g, c = stores_of(cfg, emb, pos, restored)
-        assert len(g._cols.chunks) == (restored > 0) + math.ceil(ingested / chunk)
+        # an ingested repeat of an ingested row shares its vector; restored
+        # rows are not hashed, so a repeat of one is stored again
+        stored = ingested - np.count_nonzero(dup[restored + 1 :])
+        assert len(g._cols.chunks) == (restored > 0) + math.ceil(stored / chunk)
         for k in sorted({1, chunk, chunk + 1, 2 * chunk + 1, n, n + 2} - {0}):
             check_graph_tools(g, k, rng)
             check_caption_tools(c, k, rng)
@@ -575,3 +587,175 @@ def test_cosine_scans_rescore_only_candidates(monkeypatch):
     assert got_top((h.record_id, h.score) for h in c.query_text(q, 5)) == full_scan_top(emb, q, 5)
     assert g.find_matches(emb[9], Pose(0.0, 0.0)) == [10]
     assert len(rescored) == 3 and max(rescored) <= 20, rescored
+
+
+# ----------------------------------------------------------------------
+# interned stores: each distinct appended vector stored once
+# ----------------------------------------------------------------------
+
+
+def twin_pool(classes: int, seed: int) -> np.ndarray:
+    """Orthonormal float32 unit rows whose first component is 0.0, each
+    followed by a twin that differs only in that component's sign
+    (``-0.0``): the twins tie on every score, but their bytes differ."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((DIM - 1, classes)))[0].T
+    pool = np.zeros((2 * classes, DIM), np.float32)
+    pool[:, 1:] = np.repeat(basis, 2, axis=0)
+    pool[1::2, 0] = -0.0
+    return pool
+
+
+def check_interned(store, emb: np.ndarray, restored: int) -> None:
+    """Restored rows hold one vector each; an appended row shares the
+    vector of an earlier appended row with the same bytes; every
+    appended item's embedding is a read-only view of its vector's row."""
+    cols = store._cols
+    first: dict[bytes, int] = {}
+    for row in emb[restored:]:
+        first.setdefault(row.tobytes(), len(first))
+    assert cols.distinct == sum(b.shape[0] for b in cols.blocks()) == restored + len(first)
+    uid = np.arange(cols.size) if cols.uid is None else cols.uid[: cols.size]
+    assert np.array_equal(uid[:restored], np.arange(restored))
+    # appended vectors are numbered after the restored ones, in order of
+    # first appearance
+    assert (uid[restored:] - restored).tolist() == [first[r.tobytes()] for r in emb[restored:]]
+    for row, item in enumerate(store._all()):  # restored items keep their own arrays
+        e = item.embedding
+        assert e.tobytes() == emb[row].tobytes()
+        if row >= restored:
+            assert not e.flags.writeable and np.shares_memory(e, cols._vector(int(uid[row])))
+
+
+def check_cosine_and_gate(g: MemoryGraph, c: CaptionStore, emb, pos, queries, ks, cfg) -> None:
+    """Both cosine tools and the ingest gate against full scans (ids, order
+    and score bits) and the oracles."""
+    nodes = [(nd.node_id, nd.embedding, (nd.pose.x, nd.pose.y, nd.pose.z)) for nd in g.all_nodes()]
+    for q in queries:
+        for k in ks:
+            want = full_scan_top(emb, q, k)
+            assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, k)) == want
+            assert got_top((h.record_id, h.score) for h in c.query_text(q, k)) == want
+            oracles.assert_ranking(
+                [(nd.node_id, s) for nd, s in g.top_semantic(q, k)],
+                oracles.rank_semantic([(i, e) for i, e, _ in nodes], q, k),
+            )
+        for p in pos[:: max(1, len(pos) // 4)]:
+            want = oracles.find_matches_naive(nodes, q, p, cfg.delta_e, cfg.delta_p)
+            assert want == full_scan_matches(emb, pos, q, p, cfg.delta_e, cfg.delta_p)
+            assert g.find_matches(q, Pose(*p)) == want
+        for store in (g, c):
+            for floor in (-1.0, 0.0, 0.5, float(np.nextafter(1.0, 0.0))):
+                mask = np.ones(store._cols.size, bool)
+                want = np.flatnonzero(full_scan(emb, q) > floor)
+                assert np.array_equal(store._cols.cosine_above(q, floor, mask), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(0, 6),
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_interned_stores_equal_oracles(chunk, restored, appended, seed, data):
+    # rows 3 m apart draw from a few classes of twins, never the class of
+    # the row before: a row matches no earlier row, so each is created, and
+    # rows 3 m apart score 0 against each other
+    cfg = Config(embedding_dim=DIM, delta_e=0.5)
+    rng = np.random.default_rng(seed)
+    classes = data.draw(st.integers(2, 4))
+    pool = twin_pool(classes, seed)
+    n = restored + appended
+    picks = [int(rng.integers(2 * classes))]
+    for _ in range(n - 1):
+        nxt = int(rng.integers(2 * classes))
+        if nxt // 2 == picks[-1] // 2:
+            nxt = (nxt + 2) % (2 * classes)
+        picks.append(nxt)
+    emb = pool[picks]
+    pos = np.column_stack([3.0 * np.arange(n), np.zeros(n), np.zeros(n)])
+    queries = [pool[0], pool[1], pool[2] + pool[3], rng.standard_normal(DIM)]
+    ks = sorted({1, 2, chunk, chunk + 1, n, n + 2, data.draw(st.integers(1, n + 2))})
+    with mock.patch.object(columns, "_CHUNK", chunk):
+        g, c = stores_of(cfg, emb, pos, restored)
+        for store in (g, c):
+            check_interned(store, emb, restored)
+        check_cosine_and_gate(g, c, emb, pos, queries, ks, cfg)
+        for k in (1, chunk + 1, n + 2):
+            check_graph_tools(g, k, rng)
+            check_caption_tools(c, k, rng)
+    state = SessionState(cfg, HashProvider(5, DIM), g, c, SessionStats())
+    with tempfile.TemporaryDirectory() as tmp:
+        save_snapshot(state, Path(tmp) / "s.lgrsnap")
+        loaded = load_snapshot(Path(tmp) / "s.lgrsnap")
+    for before, after in ((g, loaded.graph), (c, loaded.captions)):
+        assert after.vector_count() == before.vector_count()
+        assert [it.embedding.tobytes() for it in after._all()] == [r.tobytes() for r in emb]
+        cols = after._cols
+        if before._cols.uid is None:
+            assert cols.uid is None
+        else:
+            assert np.array_equal(cols.uid[:n], before._cols.uid[:n])
+            for row, item in enumerate(after._all()):  # items are views of their vector
+                assert np.shares_memory(item.embedding, cols._vector(int(cols.uid[row])))
+    check_cosine_and_gate(loaded.graph, loaded.captions, emb, pos, queries, ks, cfg)
+    for k in (1, n + 2):
+        check_graph_tools(loaded.graph, k, rng)
+        check_caption_tools(loaded.captions, k, rng)
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_signed_zero_twins_are_stored_apart(cfg64, monkeypatch, collide):
+    if collide:  # every vector hashes alike: only the byte check tells them apart
+        monkeypatch.setattr(columns, "hash", lambda key: 0, raising=False)
+    pool = twin_pool(1, seed=3)
+    c = CaptionStore(cfg64)
+    for i, v in enumerate([pool[0], pool[1], pool[0], pool[1]]):
+        c.insert_caption(Observation(f"f{i}", Pose(0.0, 0.0), float(i), caption=Caption("c", v)))
+    cols = c._cols
+    # a colliding vector is stored, but not indexed, so its repeat is stored again
+    assert cols.uid[:4].tolist() == ([0, 1, 0, 2] if collide else [0, 1, 0, 1])
+    a, b, a2, b2 = (r.embedding for r in c.all_records())
+    assert np.shares_memory(a, a2) and np.shares_memory(b, b2) != collide
+    assert not np.shares_memory(a, b) and not np.shares_memory(a, b2)
+    assert a.tobytes() != b.tobytes() and np.array_equal(a, b)
+    # all four tie: ids break the tie, in the full scan's order
+    assert [h.record_id for h in c.query_text(pool[0], 3)] == [1, 2, 3]
+
+
+def test_interned_scans_rescore_only_candidate_vectors(monkeypatch):
+    rescored = []
+    refine = Columns._refine
+
+    def spy(self, vectors, q64):
+        rescored.append(vectors.shape[0])
+        return refine(self, vectors, q64)
+
+    monkeypatch.setattr(Columns, "_refine", spy)
+    cfg = Config()
+    n = 2000
+    emb = tied_rows(np.random.default_rng(33), n, cfg.embedding_dim, dup_share=0.5)
+    pos = np.column_stack([100.0 * np.arange(n), np.zeros(n), np.zeros(n)])
+    g, c = stores_of(cfg, emb, pos, restored=0)
+    assert g._cols.uid is not None and c.vector_count() < 0.6 * n
+    rescored.clear()  # ingest ran the gate once per row
+    q = unit_rows(1, cfg.embedding_dim, seed=34)[0]
+    assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, 5)) == full_scan_top(emb, q, 5)
+    assert got_top((h.record_id, h.score) for h in c.query_text(q, 5)) == full_scan_top(emb, q, 5)
+    mask = np.ones(n, bool)
+    want = np.flatnonzero(full_scan(emb, emb[9]) > cfg.delta_e)
+    assert np.array_equal(g._cols.cosine_above(emb[9], cfg.delta_e, mask), want)
+    assert len(rescored) == 3 and max(rescored) <= 20, rescored
+
+
+def test_stores_with_no_shared_vector_scan_rows_directly(cfg64, monkeypatch):
+    # no uid column, so no per-row gather: the scans touch rows as before
+    n = 50
+    emb = unit_rows(n, DIM, seed=51)
+    pos = np.column_stack([100.0 * np.arange(n), np.zeros(n), np.zeros(n)])
+    g, c = stores_of(cfg64, emb, pos, restored=20)
+    for store in (g, c):
+        assert store._cols.uid is None and store.vector_count() == len(store) == n
+        check_one_float32_column(store)

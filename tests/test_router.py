@@ -334,3 +334,36 @@ class TestCaptionFallback:
             ("t_semantic", {"query": subject, "k": 1}),
             ("captions_text", {"query": subject, "k": 1}),
         ]
+
+
+class TestParseOnce:
+    QUESTIONS = [
+        "where is the hydrant",  # a graph hit: one step
+        "where is the zebra",  # a weak hit: falls back, two steps
+        "what did you see at 00:00:30?",
+        "what is near (1.0, 1.0, 0.0)?",
+        "when did you last see the hydrant?",
+    ]
+
+    def answers(self):
+        cfg, provider, graph, captions = make_state()
+        ingest_entity(graph, provider, "hydrant", Pose(4.0, 5.0, 0.0), t=12.0)
+        add_caption(captions, provider, "a long empty corridor", Pose(1.0, 1.0), 30.0)
+        router = Router(graph, captions, provider, RuleBasedPlanner(k=3), cfg=cfg)
+        out = []
+        for q in self.QUESTIONS * 2:  # asked twice: the second time is parsed from the cache
+            a = router.answer_query(q)
+            out.append((a.text, a.pose, a.time, a.gave_up, [(r.tool, r.args) for r in a.trace]))
+        return out, sum(len(a[4]) + 1 for a in out)
+
+    def test_each_question_is_parsed_once(self, monkeypatch):
+        from lgr import router as router_mod
+
+        router_mod._classify.cache_clear()
+        cached, steps = self.answers()
+        info = router_mod._classify.cache_info()
+        assert info.misses == len(self.QUESTIONS)
+        assert info.hits + info.misses == steps > 2 * len(self.QUESTIONS)
+        # the answers are those of a parse on every step
+        monkeypatch.setattr(router_mod, "_classify", router_mod._classify.__wrapped__)
+        assert self.answers() == (cached, steps)

@@ -29,7 +29,7 @@ from lgr import (
     t_semantic,
     t_time,
 )
-from lgr.logio import encode_vector
+from lgr.logio import decode_vector, encode_vector
 from lgr.snapshot import FORMAT_VERSION, provider_from_spec, provider_to_spec
 
 
@@ -169,19 +169,33 @@ class TestRoundTrip:
         save_snapshot(state, path)
         assert query_fingerprint(load_snapshot(path)) == before
 
-    def test_format_2_0_layout(self, tmp_path):
-        state = build_state()
+    def test_format_2_1_layout(self, tmp_path):
+        state = repeating_state()
         path = tmp_path / "s.lgrsnap"
         save_snapshot(state, path)
         header, meta, blocks = split_v2(path)
-        assert header["version"] == list(FORMAT_VERSION) == [2, 0]
+        assert header["version"] == list(FORMAT_VERSION) == [2, 1]
         assert header["payload_sha256"] == hashlib.sha256(meta + blocks).hexdigest()
         payload = json.loads(meta)
         assert "embedding" not in payload["graph"]["nodes"][0]
         assert "embedding" not in payload["captions"]["records"][0]
-        rows = [n.embedding for n in state.graph.all_nodes()]
-        rows += [r.embedding for r in state.captions.all_records()]
-        assert blocks == np.array(rows, "<f4").tobytes()
+        # the uid columns, then each store's distinct vectors, in order of
+        # first appearance
+        uid_bytes, at = 0, None
+        vectors = []
+        for items in (state.graph.all_nodes(), state.captions.all_records()):
+            first: dict[bytes, int] = {}
+            for it in items:
+                first.setdefault(it.embedding.tobytes(), len(first))
+            vectors.append(list(first))
+            uid = np.array([first[it.embedding.tobytes()] for it in items], "<i8")
+            at = uid_bytes + uid.nbytes
+            assert blocks[uid_bytes:at] == uid.tobytes()
+            uid_bytes = at
+        assert (payload["graph"]["vectors"], payload["captions"]["vectors"]) == tuple(
+            map(len, vectors)
+        )
+        assert blocks[uid_bytes:] == b"".join(vectors[0] + vectors[1])
 
     def test_loaded_embeddings_are_read_only_block_rows(self, tmp_path):
         path = tmp_path / "s.lgrsnap"
@@ -211,20 +225,12 @@ class TestRoundTrip:
     def test_format_2_0_file_out_of_id_order_loads_identically(self, tmp_path):
         state = build_state()
         path = tmp_path / "s.lgrsnap"
-        save_snapshot(state, path)
-        header, meta, blocks = split_v2(path)
-        payload = json.loads(meta)
-        nodes, records = payload["graph"]["nodes"], payload["captions"]["records"]
-        row = len(nodes) * DIM * 4
-        node_rows = np.frombuffer(blocks[:row], "<f4").reshape(len(nodes), DIM)
-        record_rows = np.frombuffer(blocks[row:], "<f4").reshape(len(records), DIM)
         rng = np.random.default_rng(4)
-        pn, pr = rng.permutation(len(nodes)), rng.permutation(len(records))
-        payload["graph"]["nodes"] = [nodes[i] for i in pn]
-        payload["captions"]["records"] = [records[i] for i in pr]
-        meta = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-        write_v2(path, dict(header, meta_bytes=len(meta)), meta, node_rows[pn].tobytes() + record_rows[pr].tobytes())
+        pn = rng.permutation(state.graph.node_count())
+        pr = rng.permutation(state.captions.record_count())
+        write_v2_0(state, path, pn, pr)
         loaded = load_snapshot(path)
+        assert loaded.format_version == (2, 0)
         for store, want in (
             (loaded.graph, state.graph.all_nodes()),
             (loaded.captions, state.captions.all_records()),
@@ -242,7 +248,8 @@ class TestRoundTrip:
         )
         assert query_fingerprint(loaded) == query_fingerprint(state)
         save_snapshot(loaded, path)
-        assert split_v2(path)[2] == blocks
+        save_snapshot(state, tmp_path / "direct.lgrsnap")
+        assert split_v2(path)[2] == split_v2(tmp_path / "direct.lgrsnap")[2]
 
     def test_format_1_0_file_loads_identically(self, tmp_path):
         state = build_state()
@@ -273,7 +280,101 @@ class TestRoundTrip:
             load_snapshot(path)
 
 
-@pytest.mark.parametrize("version", ["2.0", "1.0"])
+def tied_fingerprint(state: SessionState) -> list:
+    """Cosine tools and the ingest gate, queried with stored vectors so
+    that many rows tie, at every k up to past the store size."""
+    out = []
+    for text in [f"thing {i}" for i in range(4)] + [f"scene {i}" for i in range(5)] + ["other"]:
+        q = state.provider.embed(text)
+        for k in range(1, 12):
+            out.append([(h.node_id, h.score) for h in t_semantic(state.graph, state.provider, text, k)])
+            out.append([(h.record_id, h.score) for h in state.captions.query_text(q, k)])
+        out.append(state.graph.find_matches(q, Pose(300.0, 0.0)))
+    return out
+
+
+def items_of(store) -> list:
+    return [vars(it) | {"embedding": it.embedding.tobytes()} for it in store._all()]
+
+
+class TestInternedLayout:
+    def test_round_trip_keeps_the_interned_layout(self, tmp_path):
+        state = repeating_state()
+        path, again = tmp_path / "s.lgrsnap", tmp_path / "again.lgrsnap"
+        save_snapshot(state, path)
+        loaded = load_snapshot(path)
+        rows = 0
+        for before, after in ((state.graph, loaded.graph), (state.captions, loaded.captions)):
+            assert after.vector_count() == before.vector_count() < len(before)
+            n = len(before)
+            assert np.array_equal(after._cols.uid[:n], before._cols.uid[:n])
+            assert items_of(after) == items_of(before)
+            # items that share a vector share its row of the file block
+            embs = [it.embedding for it in after._all()]
+            for i, j in zip(range(n), after._cols.uid[:n].tolist()):
+                assert np.shares_memory(embs[i], after._cols.chunks[0][j])
+            rows += n
+        assert query_fingerprint(loaded) == query_fingerprint(state)
+        assert tied_fingerprint(loaded) == tied_fingerprint(state)
+        assert path.stat().st_size < rows * DIM * 4
+        save_snapshot(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("version", ["2.0", "1.0"])
+    def test_older_formats_load_one_vector_per_item(self, tmp_path, version):
+        state = repeating_state()
+        path = tmp_path / "s.lgrsnap"
+        {"2.0": write_v2_0, "1.0": write_v1}[version](state, path)
+        loaded = load_snapshot(path)
+        assert ".".join(map(str, loaded.format_version)) == version
+        for before, after in ((state.graph, loaded.graph), (state.captions, loaded.captions)):
+            assert after._cols.uid is None and after.vector_count() == len(after)
+            assert items_of(after) == items_of(before)
+        assert query_fingerprint(loaded) == query_fingerprint(state)
+        assert tied_fingerprint(loaded) == tied_fingerprint(state)
+
+    def test_appends_after_load_share_vectors_with_each_other(self, tmp_path):
+        # loaded vectors are not hashed: a repeat of one is stored again,
+        # and repeats among later appends are shared
+        state = repeating_state()
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(state, path)
+        loaded = load_snapshot(path)
+        before = loaded.captions.vector_count()
+        for i in range(4):
+            text = "scene 1"
+            loaded.ingest(
+                Observation(f"g{i}", Pose(-100.0 * (i + 1), 0.0), 100.0 + i,
+                            caption=Caption(text, loaded.provider.embed(text)))
+            )
+        assert loaded.captions.vector_count() == before + 1
+        state.captions = CaptionStore.restore(state.cfg, loaded.captions.all_records())
+        assert tied_fingerprint(loaded) == tied_fingerprint(state)
+
+    @pytest.mark.parametrize("bad", ["negative", "past the block", "unused vector"])
+    def test_bad_uid_column_refused(self, tmp_path, bad):
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(repeating_state(), path)
+        header, meta, blocks = split_v2(path)
+        payload = json.loads(meta)
+        n = len(payload["graph"]["nodes"])
+        uid = np.frombuffer(blocks[: n * 8], "<i8").copy()
+        if bad == "negative":
+            uid[3] = -1
+        elif bad == "past the block":
+            uid[3] = payload["graph"]["vectors"]
+        else:  # one more graph vector, which no node uses
+            payload["graph"]["vectors"] += 1
+            meta = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+            at = len(blocks) - payload["captions"]["vectors"] * DIM * 4
+            blocks = blocks[:at] + bytes(DIM * 4) + blocks[at:]
+        blocks = uid.tobytes() + blocks[n * 8 :]
+        write_v2(path, dict(header, meta_bytes=len(meta)), meta, blocks)
+        with pytest.raises(SnapshotError, match="node uid column"):
+            load_snapshot(path)
+
+
+@pytest.mark.parametrize("version", ["2.1", "2.0", "1.0"])
 def test_load_allocates_one_embedding_block(tmp_path, version):
     # numpy reports its buffers to tracemalloc; a second copy of the
     # embeddings (a column filled from the file block, or items keeping
@@ -290,10 +391,7 @@ def test_load_allocates_one_embedding_block(tmp_path, version):
         cfg, [CaptionRecord(i + 1, f"c{i}", emb[n + i], Pose(1.0, 2.0), float(i)) for i in range(n)]
     )
     path = tmp_path / "s.lgrsnap"
-    if version == "2.0":
-        save_snapshot(state, path)
-    else:
-        write_v1(state, path)
+    {"2.1": save_snapshot, "2.0": write_v2_0, "1.0": write_v1}[version](state, path)
     del state, emb
     tracemalloc.start()
     try:
@@ -304,7 +402,7 @@ def test_load_allocates_one_embedding_block(tmp_path, version):
     block = 2 * n * dim * 4
     assert loaded.graph.node_count() == loaded.captions.record_count() == n
     assert block <= kept <= 1.5 * block, (kept, block)
-    if version == "2.0":
+    if version != "1.0":
         assert peak <= 1.5 * block, (peak, block)
 
 
@@ -322,7 +420,12 @@ def write_framed(path, payload: dict, version=(1, 0)) -> None:
 
 def write_v1(state: SessionState, path) -> None:
     """Write ``state`` in the 1.0 layout: one JSON payload, vectors as base64."""
-    payload = {
+    write_framed(path, v1_payload(state))
+
+
+def v1_payload(state: SessionState) -> dict:
+    """``state`` as a 1.0 payload: every field, each vector as base64."""
+    return {
         "config": state.cfg.to_dict(),
         "provider": provider_to_spec(state.provider),
         "graph": {
@@ -355,18 +458,54 @@ def write_v1(state: SessionState, path) -> None:
         },
         "stats": state.stats.to_dict(),
     }
-    write_framed(path, payload)
+
+
+def write_v2_0(state: SessionState, path, node_order=None, record_order=None) -> None:
+    """Write ``state`` in the 2.0 layout: the meta JSON, then one float32
+    vector per item, nodes first, items in the given orders (id order by
+    default)."""
+    payload = v1_payload(state)
+    rows = []
+    for section, key, order in (("graph", "nodes", node_order), ("captions", "records", record_order)):
+        items = payload[section][key]
+        items = [items[i] for i in (range(len(items)) if order is None else order)]
+        rows += [decode_vector(it.pop("embedding")) for it in items]
+        payload[section][key] = items
+    meta = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    blocks = np.array(rows, "<f4").reshape(-1, state.cfg.embedding_dim).tobytes()
+    write_v2(path, {"format": "lgr-snapshot", "version": [2, 0], "meta_bytes": len(meta)}, meta, blocks)
+
+
+def repeating_state(seed: int = 23, frames: int = 40) -> SessionState:
+    """A session ingested from frames whose labels and captions come from
+    small vocabularies, 100 m apart, so most stored vectors repeat."""
+    cfg = Config(embedding_dim=DIM)
+    provider = HashProvider(seed=seed, dim=DIM)
+    state = SessionState.new(cfg, provider)
+    rng = np.random.default_rng(seed)
+    for i in range(frames):
+        label, caption = f"thing {rng.integers(4)}", f"scene {rng.integers(5)}"
+        state.ingest(
+            Observation(
+                frame_id=f"f{i}",
+                pose=Pose(100.0 * i, 0.0),
+                time=float(i),
+                labels=(Label(label, provider.embed(label)),),
+                caption=Caption(caption, provider.embed(caption)),
+            )
+        )
+    return state
 
 
 def split_v2(path) -> tuple[dict, bytes, bytes]:
-    """(header, meta JSON, embedding blocks) of a 2.0 file."""
+    """(header, meta JSON, binary part) of a 2.x file."""
     line, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(line)
     return header, payload[: header["meta_bytes"]], payload[header["meta_bytes"] :]
 
 
 def write_v2(path, header: dict, meta: bytes, blocks: bytes) -> None:
-    """Write a 2.0 file whose payload length and SHA-256 match ``meta + blocks``."""
+    """Write a 2.x file whose payload length and SHA-256 match ``meta + blocks``."""
     payload = meta + blocks
     header = dict(
         header, payload_bytes=len(payload), payload_sha256=hashlib.sha256(payload).hexdigest()
