@@ -155,11 +155,11 @@ class Columns:
         key = v.tobytes()
         h = hash(key)
         u = self._index.get(h)
-        if u is not None and self._vector(u).tobytes() == key:
+        e = None if u is None else self._vector(u)
+        if e is not None and e.tobytes() == key:  # byte for byte: -0.0 and 0.0 stay apart
             if self.uid is None:  # the first shared vector: row i held vector i so far
                 self.uid = np.empty(self.ids.shape[0], np.int64)
                 self.uid[:row] = np.arange(row)
-            e = self._vector(u)
         else:
             u = self.distinct
             if not self.chunks or u == self.starts[-1] + self.chunks[-1].shape[0]:

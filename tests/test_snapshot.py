@@ -351,6 +351,31 @@ class TestInternedLayout:
         state.captions = CaptionStore.restore(state.cfg, loaded.captions.all_records())
         assert tied_fingerprint(loaded) == tied_fingerprint(state)
 
+    def test_file_out_of_id_order_loads_identically(self, tmp_path):
+        # items and their uid entries permuted together; the vectors stay
+        state = repeating_state()
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(state, path)
+        header, meta, blocks = split_v2(path)
+        payload = json.loads(meta)
+        rng = np.random.default_rng(6)
+        uids, at = [], 0
+        for section, key in (("graph", "nodes"), ("captions", "records")):
+            items = payload[section][key]
+            uid = np.frombuffer(blocks[at : at + 8 * len(items)], "<i8")
+            at += 8 * len(items)
+            order = rng.permutation(len(items))
+            payload[section][key] = [items[i] for i in order]
+            uids.append(uid[order].tobytes())
+        meta = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        write_v2(path, dict(header, meta_bytes=len(meta)), meta, b"".join(uids) + blocks[at:])
+        loaded = load_snapshot(path)
+        for before, after in ((state.graph, loaded.graph), (state.captions, loaded.captions)):
+            assert items_of(after) == items_of(before)
+            assert after.vector_count() == before.vector_count()
+        assert tied_fingerprint(loaded) == tied_fingerprint(state)
+        assert query_fingerprint(loaded) == query_fingerprint(state)
+
     @pytest.mark.parametrize("bad", ["negative", "past the block", "unused vector"])
     def test_bad_uid_column_refused(self, tmp_path, bad):
         path = tmp_path / "s.lgrsnap"
