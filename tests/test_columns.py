@@ -750,7 +750,7 @@ def test_interned_scans_rescore_only_candidate_vectors(monkeypatch):
     assert len(rescored) == 3 and max(rescored) <= 20, rescored
 
 
-def test_stores_with_no_shared_vector_scan_rows_directly(cfg64, monkeypatch):
+def test_stores_with_no_shared_vector_scan_rows_directly(cfg64):
     # no uid column, so no per-row gather: the scans touch rows as before
     n = 50
     emb = unit_rows(n, DIM, seed=51)
