@@ -8,7 +8,7 @@ admit an ANN index, but approximate retrieval is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,13 +39,8 @@ class CaptionHit:
     score: float
 
     def to_dict(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "text": self.text,
-            "pose": self.pose.to_dict(),
-            "time": self.time,
-            "score": self.score,
-        }
+        """The fields by name, ``pose`` as a nested dict; ``lgr query`` prints these."""
+        return asdict(self)
 
 
 class CaptionStore(RowStore):

@@ -14,7 +14,7 @@ import math
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -29,6 +29,10 @@ SPATIAL_GATE_M = 25.0
 TEMPORAL_GATE_S = 180.0
 
 QA_KINDS = ("spatial", "temporal", "descriptive")
+
+# cosine margins that build_synonym_fixture checks
+SYNONYM_MIN_WITHIN = 0.8
+SYNONYM_MAX_ACROSS = 0.5
 
 
 def spatial_error(pred: Pose, gt: Pose) -> float:
@@ -63,12 +67,9 @@ class QAItem:
             raise ValueError("temporal items need gt_time")
 
     def to_json_dict(self) -> dict:
-        return {
-            "question": self.question,
-            "kind": self.kind,
-            "gt_pose": self.gt_pose.to_dict() if self.gt_pose else None,
-            "gt_time": self.gt_time,
-        }
+        """The fields by name, ``gt_pose`` a nested dict or None: one
+        line of a QA file."""
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QAItem":
@@ -132,27 +133,9 @@ class EvalReport:
     rows: tuple[EvalRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "positional_accuracy": self.positional_accuracy,
-            "temporal_accuracy": self.temporal_accuracy,
-            "mean_spatial_error": self.mean_spatial_error,
-            "mean_temporal_error": self.mean_temporal_error,
-            "mean_latency": self.mean_latency,
-            "fallback": self.fallback,
-            "rows": [
-                {
-                    "question": r.question,
-                    "kind": r.kind,
-                    "answered": r.answered,
-                    "correct": r.correct,
-                    "error": r.error,
-                    "latency": r.latency,
-                    "gave_up": r.gave_up,
-                    "trace": list(r.trace),
-                }
-                for r in self.rows
-            ],
-        }
+        """The fields by name, each row a dict of its own fields; ``lgr
+        eval`` prints this."""
+        return asdict(self)
 
     def to_table(self) -> str:
         """Tab-separated per-item table with a trailing summary line."""
@@ -288,7 +271,6 @@ class SyntheticWorld:
     trajectory: tuple[tuple[float, Pose], ...]
     visibility_radius: float = 2.4
     synonyms: Optional[Mapping[str, Sequence[str]]] = None
-    pose_jitter: float = 0.0
 
 
 def _interpolate(trajectory: Sequence[tuple[float, Pose]], t: float) -> Pose:
@@ -345,13 +327,6 @@ def generate_synthetic_session(
     for i in range(n_frames):
         t = t_start + i * period
         pose = _interpolate(world.trajectory, t)
-        if world.pose_jitter > 0:
-            pose = Pose(
-                x=pose.x + rng.gauss(0.0, world.pose_jitter),
-                y=pose.y + rng.gauss(0.0, world.pose_jitter),
-                z=pose.z,
-                yaw=pose.yaw,
-            )
         labels: list[str] = []
         for entity in world.entities:
             if spatial_error(entity.pose, pose) <= world.visibility_radius:
@@ -435,14 +410,12 @@ def build_synonym_fixture(
     alternatives: int = 3,
     dim: int = 384,
     seed: int = 0,
-    min_within: float = 0.8,
-    max_across: float = 0.5,
 ) -> tuple[dict[str, np.ndarray], dict[str, tuple[str, ...]]]:
     """Fixture table where each label gains near-duplicate spellings.
 
     Every alternative's embedding is a small perturbation of the label's
-    base vector, so within-entity similarities land above ``min_within``
-    while distinct labels stay below ``max_across``. Raises if the
+    base vector, so within-entity similarities land above ``SYNONYM_MIN_WITHIN``
+    while distinct labels stay below ``SYNONYM_MAX_ACROSS``. Raises if the
     deterministic construction misses those margins.
     """
     base = HashProvider(seed=seed, dim=dim)
@@ -461,7 +434,7 @@ def build_synonym_fixture(
         for a in range(len(vectors)):
             for b in range(a + 1, len(vectors)):
                 sim = float(np.dot(vectors[a], vectors[b]))
-                if sim < min_within:
+                if sim < SYNONYM_MIN_WITHIN:
                     raise ValueError(
                         f"synonym pair for {label!r} too far apart ({sim:.3f})"
                     )
@@ -471,7 +444,7 @@ def build_synonym_fixture(
     for i, a in enumerate(names):
         for j in range(i + 1, len(names)):
             if a.split(" (alt")[0] != names[j].split(" (alt")[0]:
-                if sims[i, j] > max_across:
+                if sims[i, j] > SYNONYM_MAX_ACROSS:
                     raise ValueError(
                         f"labels {a!r} and {names[j]!r} too similar ({sims[i, j]:.3f})"
                     )

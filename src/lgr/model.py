@@ -7,7 +7,7 @@ between the ingest writer and concurrent readers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -128,14 +128,8 @@ class Config:
             raise ValueError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
 
     def to_dict(self) -> dict:
-        return {
-            "delta_p": self.delta_p,
-            "delta_e": self.delta_e,
-            "subsample_period": self.subsample_period,
-            "default_k": self.default_k,
-            "max_planner_iterations": self.max_planner_iterations,
-            "embedding_dim": self.embedding_dim,
-        }
+        """The fields by name, as snapshots and ``lgr`` config files hold them."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Config":

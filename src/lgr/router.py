@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -80,27 +80,12 @@ class Answer:
     truncated: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "pose": self.pose.to_dict() if self.pose else None,
-            "time": self.time,
-            "gave_up": self.gave_up,
-            "truncated": self.truncated,
-            "elapsed": self.elapsed,
-            "trace": [
-                {
-                    "tool": r.tool,
-                    "args": dict(r.args),
-                    "error": r.error,
-                    "hits": [
-                        h.to_dict() if hasattr(h, "to_dict") else h for h in r.hits
-                    ]
-                    if r.hits is not None
-                    else None,
-                }
-                for r in self.trace
-            ],
-        }
+        """The fields by name, nested values as dicts, less each trace
+        step's ``vector`` flag; ``lgr query ... route`` prints this."""
+        d = asdict(self)
+        for step in d["trace"]:
+            del step["vector"]
+        return d
 
 
 class Planner(ABC):

@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .captions import CaptionRecord, CaptionStore
+from .columns import _dim_error
 from .embedding import EmbeddingProvider, FixtureProvider, HashProvider
 from .graph import EntityNode, IngestReport, MemoryGraph
 from .logio import decode_vector, encode_vector
@@ -295,7 +296,7 @@ def _decode_block(entries: list, dim: int) -> np.ndarray:
     for row, d in zip(block, entries):
         e = decode_vector(d["embedding"])
         if e.shape != row.shape:
-            raise ValueError(f"embedding dimension mismatch: expected {dim}, got {e.shape}")
+            raise _dim_error(dim, e.shape)
         row[...] = e
     block.setflags(write=False)
     return block

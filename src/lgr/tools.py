@@ -9,7 +9,7 @@ all six tools once; the router, its planner and ``lgr query`` read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,13 +32,8 @@ class RetrievalHit:
     score: float
 
     def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "label_text": self.label_text,
-            "pose": self.pose.to_dict(),
-            "last_seen": self.last_seen,
-            "score": self.score,
-        }
+        """The fields by name, ``pose`` as a nested dict; ``lgr query`` prints these."""
+        return asdict(self)
 
 
 def _hits(pairs) -> list[RetrievalHit]:

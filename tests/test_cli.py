@@ -6,7 +6,29 @@ import json
 import numpy as np
 import pytest
 
-from lgr import LogRecord, Pose, QAItem, save_qa_items, write_log
+from lgr import (
+    Caption,
+    CaptionHit,
+    CaptionStore,
+    CallTool,
+    Config,
+    EvalReport,
+    EvalRow,
+    FixtureProvider,
+    GiveUpAction,
+    Label,
+    LogRecord,
+    MemoryGraph,
+    Observation,
+    Pose,
+    QAItem,
+    RetrievalHit,
+    Router,
+    RuleBasedPlanner,
+    ScriptedPlanner,
+    save_qa_items,
+    write_log,
+)
 from lgr.cli import build_parser, main
 from lgr.snapshot import load_snapshot
 
@@ -319,3 +341,175 @@ def test_stats_reports_rows_and_distinct_vectors(tmp_path, capsys):
     stats = json.loads(run(capsys, "stats", snap)[1])
     assert (stats["nodes"], stats["node_vectors"]) == (10, 2)
     assert (stats["caption_records"], stats["caption_vectors"]) == (5, 2)
+
+
+class TestSerializedShapes:
+    """The JSON of every value type the CLI prints or writes, pinned key by
+    key against literals (compared after a JSON round trip, where tuples
+    and lists are the same array)."""
+
+    POSE = Pose(1.0, 2.0, 0.5, 0.25)
+    POSE_JSON = {"x": 1.0, "y": 2.0, "z": 0.5, "yaw": 0.25}
+
+    @staticmethod
+    def as_json(d: dict) -> dict:
+        return json.loads(json.dumps(d, sort_keys=True))
+
+    def test_config(self):
+        assert self.as_json(Config().to_dict()) == {
+            "delta_p": 5.0,
+            "delta_e": 0.75,
+            "subsample_period": 2.0,
+            "default_k": 5,
+            "max_planner_iterations": 8,
+            "embedding_dim": 384,
+        }
+
+    def test_hits(self):
+        hit = RetrievalHit(node_id=3, label_text="bench", pose=self.POSE, last_seen=7.5, score=0.875)
+        assert self.as_json(hit.to_dict()) == {
+            "node_id": 3, "label_text": "bench", "pose": self.POSE_JSON,
+            "last_seen": 7.5, "score": 0.875,
+        }
+        hit = CaptionHit(record_id=4, text="a bench", pose=self.POSE, time=9.0, score=2.5)
+        assert self.as_json(hit.to_dict()) == {
+            "record_id": 4, "text": "a bench", "pose": self.POSE_JSON,
+            "time": 9.0, "score": 2.5,
+        }
+
+    def test_qa_items(self):
+        spatial = QAItem("where is the bench?", "spatial", gt_pose=self.POSE)
+        assert self.as_json(spatial.to_json_dict()) == {
+            "question": "where is the bench?", "kind": "spatial",
+            "gt_pose": self.POSE_JSON, "gt_time": None,
+        }
+        temporal = QAItem("when did you last see the bench?", "temporal", gt_time=12.0)
+        assert self.as_json(temporal.to_json_dict()) == {
+            "question": "when did you last see the bench?", "kind": "temporal",
+            "gt_pose": None, "gt_time": 12.0,
+        }
+
+    def test_eval_report(self):
+        rows = (
+            EvalRow("where is the bench?", "spatial", True, True, 3.5, 0.25, False,
+                    ("t_semantic",)),
+            EvalRow("when did you last see the cat?", "temporal", False, False, None, 0.5,
+                    True, ("t_semantic", "captions_text")),
+            EvalRow("describe the hall", "descriptive", True, None, None, 0.125, False, ()),
+        )
+        report = EvalReport(1.0, 0.0, 3.5, None, 0.875 / 3, 0.5, rows)
+        row = lambda q, kind, answered, correct, error, latency, gave_up, trace: {
+            "question": q, "kind": kind, "answered": answered, "correct": correct,
+            "error": error, "latency": latency, "gave_up": gave_up, "trace": trace,
+        }
+        assert self.as_json(report.to_dict()) == {
+            "positional_accuracy": 1.0,
+            "temporal_accuracy": 0.0,
+            "mean_spatial_error": 3.5,
+            "mean_temporal_error": None,
+            "mean_latency": 0.875 / 3,
+            "fallback": 0.5,
+            "rows": [
+                row("where is the bench?", "spatial", True, True, 3.5, 0.25, False,
+                    ["t_semantic"]),
+                row("when did you last see the cat?", "temporal", False, False, None, 0.5,
+                    True, ["t_semantic", "captions_text"]),
+                row("describe the hall", "descriptive", True, None, None, 0.125, False, []),
+            ],
+        }
+
+    def router(self, planner, stocked=True):
+        # axis-aligned fixture vectors make every cosine score exactly 0 or 1
+        cfg = Config(embedding_dim=4)
+        provider = FixtureProvider(
+            {"bench": [1, 0, 0, 0], "zebra": [0, 1, 0, 0], "a zebra crossing": [0, 1, 0, 0]}
+        )
+        graph, captions = MemoryGraph(cfg), CaptionStore(cfg)
+        if stocked:
+            graph.ingest_observation(Observation(
+                "f0", self.POSE, 7.5, labels=(Label("bench", provider.embed("bench")),)
+            ))
+            captions.insert_caption(Observation(
+                "f1", Pose(3.0, 4.0), 9.0,
+                caption=Caption("a zebra crossing", provider.embed("a zebra crossing")),
+            ))
+        return Router(graph, captions, provider, planner, cfg=cfg)
+
+    def answer_json(self, router, query) -> dict:
+        d = self.as_json(router.answer_query(query).to_dict())
+        assert isinstance(d.pop("elapsed"), float)
+        return d
+
+    BENCH_HIT = {"node_id": 1, "label_text": "bench", "pose": POSE_JSON, "last_seen": 7.5}
+
+    def test_answer_from_the_graph(self):
+        router = self.router(RuleBasedPlanner(k=1))
+        assert self.answer_json(router, "where is the bench?") == {
+            "text": "'bench' is at (1.00, 2.00, 0.50)",
+            "pose": self.POSE_JSON,
+            "time": 7.5,
+            "gave_up": False,
+            "truncated": False,
+            "trace": [
+                {"tool": "t_semantic", "args": {"query": "bench", "k": 1}, "error": None,
+                 "hits": [{**self.BENCH_HIT, "score": 1.0}]},
+            ],
+        }
+
+    def test_answer_from_the_caption_fallback(self):
+        router = self.router(RuleBasedPlanner(k=1))
+        args = {"query": "zebra", "k": 1}
+        assert self.answer_json(router, "where is the zebra?") == {
+            "text": "recalled scene: a zebra crossing",
+            "pose": {"x": 3.0, "y": 4.0, "z": 0.0, "yaw": 0.0},
+            "time": 9.0,
+            "gave_up": False,
+            "truncated": False,
+            "trace": [
+                {"tool": "t_semantic", "args": args, "error": None,
+                 "hits": [{**self.BENCH_HIT, "score": 0.0}]},
+                {"tool": "captions_text", "args": args, "error": None,
+                 "hits": [{"record_id": 1, "text": "a zebra crossing",
+                           "pose": {"x": 3.0, "y": 4.0, "z": 0.0, "yaw": 0.0},
+                           "time": 9.0, "score": 1.0}]},
+            ],
+        }
+
+    def test_give_up(self):
+        router = self.router(RuleBasedPlanner(k=2), stocked=False)
+        args = {"query": "bench", "k": 2}
+        assert self.answer_json(router, "where is the bench?") == {
+            "text": "no relevant memory found",
+            "pose": None,
+            "time": None,
+            "gave_up": True,
+            "truncated": False,
+            "trace": [
+                {"tool": "t_semantic", "args": args, "error": None, "hits": []},
+                {"tool": "captions_text", "args": args, "error": None, "hits": []},
+            ],
+        }
+
+    def test_failed_steps_and_a_registered_tool(self):
+        script = [
+            CallTool("nope", {"v": 1}),
+            CallTool("t_time", {"hh": 0, "mm": 61, "ss": 0, "k": 1}),
+            CallTool("echo", {"v": "hi"}),
+            GiveUpAction("out of ideas"),
+        ]
+        router = self.router(ScriptedPlanner({"q": script}))
+        router.register_tool("echo", {}, lambda v: [{"said": v, "at": [1, 2]}], vector=True)
+        assert self.answer_json(router, "q") == {
+            "text": "out of ideas",
+            "pose": None,
+            "time": None,
+            "gave_up": True,
+            "truncated": False,
+            "trace": [
+                {"tool": "nope", "args": {"v": 1}, "error": "unknown tool: nope", "hits": None},
+                {"tool": "t_time", "args": {"hh": 0, "mm": 61, "ss": 0, "k": 1},
+                 "error": "malformed time components: 0:61:0", "hits": None},
+                {"tool": "echo", "args": {"v": "hi"}, "error": None,
+                 "hits": [{"said": "hi", "at": [1, 2]}]},
+            ],
+        }
