@@ -51,7 +51,6 @@ from .model import (
     Label,
     Observation,
     Pose,
-    ValidationResult,
     ensure_valid,
     normalize_yaw,
     validate_observation,

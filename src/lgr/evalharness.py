@@ -91,7 +91,7 @@ def load_qa_items(path: str | Path) -> list[QAItem]:
                 continue
             try:
                 items.append(QAItem.from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad QA item: {exc}") from None
     return items
 

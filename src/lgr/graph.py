@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .columns import Columns, RowStore, check_dim
+from .columns import Columns, RowStore
 from .model import Label, Observation, Pose, ensure_valid
 
 
@@ -175,11 +175,10 @@ class MemoryGraph(RowStore):
         """Same-entity groups by transitive closure of the similarity gate.
 
         Groups are ordered by first appearance; the first member is the
-        group representative.
+        group representative. ``ensure_valid`` has checked every width.
         """
         n = len(labels)
         if n == 1:  # nothing to pair
-            check_dim(labels[0].embedding, self._cfg.embedding_dim)
             return [[0]]
         parent = list(range(n))
 
@@ -189,7 +188,7 @@ class MemoryGraph(RowStore):
                 i = parent[i]
             return i
 
-        mat = np.stack([check_dim(lab.embedding, self._cfg.embedding_dim) for lab in labels])
+        mat = np.stack([lab.embedding for lab in labels]).astype(np.float64)
         sims = np.clip(mat @ mat.T, -1.0, 1.0)
         for i in range(n):
             for j in range(i + 1, n):

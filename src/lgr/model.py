@@ -7,7 +7,8 @@ between the ingest writer and concurrent readers.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,6 +111,11 @@ class Config:
     embedding_dim: int = 384
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, what = (Integral, "an integer") if f.type == "int" else (Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if not (math.isfinite(self.delta_p) and self.delta_p > 0):
             raise ValueError(f"delta_p must be > 0, got {self.delta_p}")
         if not (0.0 < self.delta_e <= 1.0):
@@ -133,22 +139,13 @@ class Config:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Config":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**known)
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of observation validation; violations are data, not errors."""
-
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _embedding_violations(vec: object, dim: int, what: str) -> list[str]:
@@ -170,11 +167,11 @@ def _embedding_violations(vec: object, dim: int, what: str) -> list[str]:
     return []
 
 
-def validate_observation(obs: Observation, cfg: Config) -> ValidationResult:
+def validate_observation(obs: Observation, cfg: Config) -> tuple[str, ...]:
     """Check an observation against the session config.
 
-    Returns all violations found; an empty list means the observation may
-    enter the memory stores.
+    Returns the message of every violation found; an empty tuple means the
+    observation may enter the memory stores.
     """
     v: list[str] = []
     for name, value in (
@@ -202,13 +199,11 @@ def validate_observation(obs: Observation, cfg: Config) -> ValidationResult:
         v.extend(
             _embedding_violations(obs.caption.embedding, cfg.embedding_dim, "caption")
         )
-    return ValidationResult(tuple(v))
+    return tuple(v)
 
 
 def ensure_valid(obs: Observation, cfg: Config) -> None:
     """Raise ValueError if the observation violates any invariant."""
-    result = validate_observation(obs, cfg)
-    if not result.ok:
-        raise ValueError(
-            f"invalid observation {obs.frame_id!r}: " + "; ".join(result.violations)
-        )
+    violations = validate_observation(obs, cfg)
+    if violations:
+        raise ValueError(f"invalid observation {obs.frame_id!r}: " + "; ".join(violations))

@@ -171,7 +171,8 @@ def _header(payload_bytes: int, meta_bytes: int, digest: str) -> bytes:
 
 
 def save_snapshot(state: SessionState, path: str | Path) -> None:
-    """Write the session atomically (temp file plus rename).
+    """Write the session atomically and durably: the temp file is fsynced,
+    renamed over ``path``, and then the directory is fsynced.
 
     The stores' embedding chunks are written and hashed ``_CHUNK`` rows
     at a time; the header goes first with a placeholder digest of the same
@@ -218,7 +219,14 @@ def save_snapshot(state: SessionState, path: str | Path) -> None:
                 fh.write(part)
         fh.seek(0)
         fh.write(_header(payload_bytes, len(body), sha.hexdigest()))
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)  # makes the rename itself durable
+    finally:
+        os.close(dir_fd)
 
 
 def _read_header(line: bytes, path: Path) -> tuple[list[int], int, int, str]:

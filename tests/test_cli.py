@@ -99,6 +99,24 @@ class TestIngest:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"default_k": 2.5}, "default_k must be an integer, got 2.5"),
+            ({"delta_p": "x"}, "delta_p must be a number, got 'x'"),
+            ({"embedding_dim": 64.0}, "embedding_dim must be an integer, got 64.0"),
+            ([1, 2], "config must be a JSON object, got list"),
+        ],
+    )
+    def test_mistyped_config_fails_cleanly(self, tmp_path, toy_log, capsys, doc, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        snap = tmp_path / "s.lgrsnap"
+        code, out, err = run(capsys, "ingest", toy_log, "--out", snap, "--config", cfg_file)
+        assert (code, err) == (1, f"error: {message}\n")
+        assert "Traceback" not in out + err
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_file, toy_log])  # no snapshot
+
 
 @pytest.fixture
 def snapshot(tmp_path, toy_log, capsys):
@@ -203,6 +221,14 @@ class TestEvalAndStats:
         assert report["positional_accuracy"] == 1.0
         assert report["temporal_accuracy"] == 1.0
         assert len(report["rows"]) == 2
+
+    def test_eval_refuses_a_non_object_qa_line(self, tmp_path, snapshot, capsys):
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text("[1, 2]\n")
+        code, out, err = run(capsys, "eval", snapshot, qa)
+        assert code == 1
+        assert err.startswith(f"error: {qa}:1: bad QA item")
+        assert "Traceback" not in out + err
 
     def test_eval_table_format(self, tmp_path, snapshot, capsys):
         qa = tmp_path / "qa.jsonl"

@@ -75,10 +75,20 @@ class TestQAItems:
         save_qa_items(items, path)
         assert load_qa_items(path) == items
 
-    def test_bad_line_reports_position(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"question": "q", "kind": "spatial"}',
+            "[1, 2]",
+            '{"question": "q", "kind": "spatial", "gt_pose": 5}',
+            '{"question": "q", "kind": "spatial", "gt_pose": {"x": null, "y": 1.0}}',
+        ],
+        ids=["spatial-without-pose", "list", "pose-is-a-number", "pose-x-null"],
+    )
+    def test_bad_line_reports_position(self, tmp_path, line):
         path = tmp_path / "qa.jsonl"
-        path.write_text('{"question": "q", "kind": "spatial"}\n')
-        with pytest.raises(ValueError, match=":1:"):
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=":1: bad QA item: "):
             load_qa_items(path)
 
 

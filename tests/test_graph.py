@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import DIM, random_graph, unit_rows
 from lgr import (
+    Caption,
     Config,
     EntityNode,
     Label,
@@ -179,11 +180,9 @@ class TestIngest:
         assert g.get_node(2).obs_count == 2
         assert g.get_node(1).obs_count == 1
 
-    def test_one_label_is_one_group_of_checked_width(self, cfg64, prov):
+    def test_one_label_is_one_group(self, cfg64, prov):
         g = MemoryGraph(cfg64)
         assert g._group_labels([Label("cup", prov.embed("cup"))]) == [[0]]
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            g._group_labels([Label("cup", np.ones(DIM + 1, np.float32))])
 
     def test_same_frame_group_multiplicity(self, cfg64, prov):
         # identical label twice in one frame is one group with k=2
@@ -282,16 +281,28 @@ class TestIngest:
         assert len(report.created) == 1
         assert g.get_node(1).obs_count == 2
 
-    def test_invalid_observation_rejected(self, cfg64):
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            dict(time=-1.0),
+            dict(labels=(Label("x", l2_normalize(np.ones(DIM + 1))),)),
+            dict(labels=(Label("x", HashProvider(0, DIM).embed("x")), Label("y", np.eye(DIM + 1)[0]))),
+            dict(caption=Caption("a cup", l2_normalize(np.ones(DIM - 1)))),
+        ],
+        ids=["negative-time", "wide-label", "wide-second-label", "narrow-caption"],
+    )
+    def test_invalid_observation_rejected(self, cfg64, fault):
         g = MemoryGraph(cfg64)
-        bad = Observation(
+        fields = dict(
             frame_id="f",
             pose=Pose(0.0, 0.0),
-            time=-1.0,
+            time=1.0,
             labels=(Label("x", HashProvider(0, DIM).embed("x")),),
         )
+        fields.update(fault)
         with pytest.raises(ValueError, match="invalid observation"):
-            g.ingest_observation(bad)
+            g.ingest_observation(Observation(**fields))
+        assert g.node_count() == 0
 
     def test_created_visible_atomically_with_edges(self, cfg64, prov):
         g = MemoryGraph(cfg64)

@@ -89,11 +89,48 @@ class TestConfig:
             {"default_k": 0},
             {"max_planner_iterations": 0},
             {"embedding_dim": 0},
+            {"delta_p": "x"},
+            {"delta_e": None},
+            {"subsample_period": [2.0]},
+            {"delta_p": True},
+            {"default_k": 2.5},
+            {"default_k": True},
+            {"max_planner_iterations": "8"},
+            {"embedding_dim": 64.0},
+            {"embedding_dim": np.float64(64)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             Config(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"default_k": 2.5}, "default_k must be an integer, got 2.5"),
+            ({"embedding_dim": False}, "embedding_dim must be an integer, got False"),
+            ({"delta_p": "x"}, "delta_p must be a number, got 'x'"),
+            ({"delta_p": -1.0}, "delta_p must be > 0, got -1.0"),
+            ({"delta_e": 1.5}, "delta_e must be in (0, 1], got 1.5"),
+            ({"subsample_period": math.inf}, "subsample_period must be > 0, got inf"),
+            ({"default_k": 0}, "default_k must be >= 1, got 0"),
+            ({"max_planner_iterations": 0}, "max_planner_iterations must be >= 1, got 0"),
+            ({"embedding_dim": -3}, "embedding_dim must be >= 1, got -3"),
+        ],
+    )
+    def test_bad_value_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            Config(**kwargs)
+        assert str(err.value) == message
+
+    def test_accepts_numpy_scalars_and_ints_for_numbers(self):
+        cfg = Config(delta_p=3, delta_e=np.float32(0.5), default_k=np.int64(2))
+        assert (cfg.delta_p, cfg.delta_e, cfg.default_k) == (3, 0.5, 2)
+
+    @pytest.mark.parametrize("doc", [[], [1, 2], "delta_p", 5.0, None])
+    def test_from_dict_rejects_non_object(self, doc):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            Config.from_dict(doc)
 
     def test_round_trip(self):
         cfg = Config(delta_p=2.5, embedding_dim=16)
@@ -106,46 +143,46 @@ class TestConfig:
 
 class TestValidateObservation:
     def test_clean_observation_ok(self):
-        assert validate_observation(make_obs(), CFG).ok
+        assert validate_observation(make_obs(), CFG) == ()
 
     def test_dimension_mismatch(self):
         bad = l2_normalize(np.ones(DIM + 1))
         result = validate_observation(
             make_obs(labels=(Label("chair", bad),)), CFG
         )
-        assert not result.ok
-        assert any("dimension mismatch" in v for v in result.violations)
+        assert result
+        assert any("dimension mismatch" in v for v in result)
 
     def test_yaw_out_of_range(self):
         result = validate_observation(
             make_obs(pose=Pose(0.0, 0.0, 0.0, 3 * math.pi / 2)), CFG
         )
-        assert any("yaw out of range" in v for v in result.violations)
+        assert any("yaw out of range" in v for v in result)
 
     def test_nan_pose(self):
         result = validate_observation(
             make_obs(pose=Pose(math.nan, 0.0, 0.0, 0.0)), CFG
         )
-        assert any("not finite" in v for v in result.violations)
+        assert any("not finite" in v for v in result)
 
     def test_negative_time(self):
         result = validate_observation(make_obs(time=-1.0), CFG)
-        assert any("non-negative" in v for v in result.violations)
+        assert any("non-negative" in v for v in result)
 
     def test_unnormalized_embedding(self):
         vec = (unit(3) * 1.01).astype(np.float32)
         result = validate_observation(make_obs(labels=(Label("x", vec),)), CFG)
-        assert any("not L2-normalized" in v for v in result.violations)
+        assert any("not L2-normalized" in v for v in result)
 
     def test_empty_label_text(self):
         result = validate_observation(make_obs(labels=(Label("", unit(1)),)), CFG)
-        assert any("empty text" in v for v in result.violations)
+        assert any("empty text" in v for v in result)
 
     def test_missing_caption_is_fine(self):
-        assert validate_observation(make_obs(caption=None), CFG).ok
+        assert validate_observation(make_obs(caption=None), CFG) == ()
 
     def test_empty_labels_list_is_fine(self):
-        assert validate_observation(make_obs(labels=()), CFG).ok
+        assert validate_observation(make_obs(labels=()), CFG) == ()
 
 
 TOL = EMBEDDING_NORM_TOL
@@ -240,12 +277,12 @@ texts = st.sampled_from(("chair", "a chair by the wall", "chair", ""))
 def test_ensure_valid_raises_exactly_the_violations(pose, time, labels, caption):
     obs = Observation("f", pose, time, tuple(labels), caption)
     result = validate_observation(obs, CFG)
-    if result.ok:
+    if not result:
         ensure_valid(obs, CFG)
     else:
         with pytest.raises(ValueError) as err:
             ensure_valid(obs, CFG)
-        assert str(err.value) == "invalid observation 'f': " + "; ".join(result.violations)
+        assert str(err.value) == "invalid observation 'f': " + "; ".join(result)
 
 
 def _with_nan(vec: np.ndarray) -> np.ndarray:
@@ -281,7 +318,7 @@ def _with_nan(vec: np.ndarray) -> np.ndarray:
     ],
 )
 def test_each_single_field_decides_the_verdict(fault, ok):
-    assert validate_observation(make_obs(**fault), CFG).ok is ok
+    assert (validate_observation(make_obs(**fault), CFG) == ()) is ok
 
 
 def test_pose_position_vector():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -120,6 +122,30 @@ class TestRoundTrip:
         save_snapshot(state, p1)
         save_snapshot(state, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_fsyncs_file_then_renames_then_fsyncs_directory(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync", st.st_ino, "dir" if stat.S_ISDIR(st.st_mode) else st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.fspath(src), os.fspath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(build_state(), path)
+        final = path.stat()
+        assert events == [
+            ("fsync", final.st_ino, final.st_size),  # the whole temp file
+            ("replace", f"{path}.tmp", str(path)),
+            ("fsync", tmp_path.stat().st_ino, "dir"),
+        ]
 
     def test_format_1_0_file_with_edges_loads(self, tmp_path):
         # files written before the co-observation edge set was dropped
