@@ -3,8 +3,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import shutil
 import stat
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from lgr import (
     t_semantic,
     t_time,
 )
+from lgr.cli import main
 from lgr.logio import decode_vector, encode_vector
 from lgr.snapshot import FORMAT_VERSION, provider_from_spec, provider_to_spec
 
@@ -198,7 +202,7 @@ class TestRoundTrip:
     def test_format_2_1_layout(self, tmp_path):
         state = repeating_state()
         path = tmp_path / "s.lgrsnap"
-        save_snapshot(state, path)
+        write_v2_1(state, path)
         header, meta, blocks = split_v2(path)
         assert header["version"] == list(FORMAT_VERSION) == [2, 1]
         assert header["payload_sha256"] == hashlib.sha256(meta + blocks).hexdigest()
@@ -381,7 +385,7 @@ class TestInternedLayout:
         # items and their uid entries permuted together; the vectors stay
         state = repeating_state()
         path = tmp_path / "s.lgrsnap"
-        save_snapshot(state, path)
+        write_v2_1(state, path)
         header, meta, blocks = split_v2(path)
         payload = json.loads(meta)
         rng = np.random.default_rng(6)
@@ -405,7 +409,7 @@ class TestInternedLayout:
     @pytest.mark.parametrize("bad", ["negative", "past the block", "unused vector"])
     def test_bad_uid_column_refused(self, tmp_path, bad):
         path = tmp_path / "s.lgrsnap"
-        save_snapshot(repeating_state(), path)
+        write_v2_1(repeating_state(), path)
         header, meta, blocks = split_v2(path)
         payload = json.loads(meta)
         n = len(payload["graph"]["nodes"])
@@ -425,6 +429,41 @@ class TestInternedLayout:
             load_snapshot(path)
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def cli_stdout(capsys, argv: list) -> str:
+    """What ``lgr`` prints for ``argv``, with a routed answer's timing zeroed."""
+    assert main(argv) == 0
+    return re.sub(r'"elapsed": [-0-9.e]+', '"elapsed": 0', capsys.readouterr().out)
+
+
+def test_committed_2_1_file_answers_as_before(tmp_path, capsys):
+    # session_2_1.lgrsnap is a 2.1 file written by `lgr ingest` (hash
+    # provider, dimension 16, repeated labels and captions, so both stores
+    # share vectors and some nodes were updated); the expected file holds
+    # what `lgr` printed for it then
+    snap, again = tmp_path / "s.lgrsnap", tmp_path / "again.lgrsnap"
+    shutil.copy(DATA / "session_2_1.lgrsnap", snap)
+    expected = json.loads((DATA / "session_2_1.expected.json").read_text())
+    for case in expected:
+        argv = [str(snap) if a == "SNAP" else a for a in case["argv"]]
+        assert cli_stdout(capsys, argv) == case["stdout"], argv
+    old = load_snapshot(snap)
+    assert old.format_version == (2, 1)
+    save_snapshot(old, again)  # re-saved in the current format
+    new = load_snapshot(again)
+    assert new.format_version == FORMAT_VERSION
+    for store in ("graph", "captions"):
+        assert items_of(getattr(new, store)) == items_of(getattr(old, store))
+    assert query_fingerprint(new) == query_fingerprint(old)
+    assert tied_fingerprint(new) == tied_fingerprint(old)
+    for case in expected:
+        if case["argv"][0] == "query":  # `lgr stats` prints the format version
+            argv = [str(again) if a == "SNAP" else a for a in case["argv"]]
+            assert cli_stdout(capsys, argv) == case["stdout"], argv
+
+
 @pytest.mark.parametrize("version", ["2.1", "2.0", "1.0"])
 def test_load_allocates_one_embedding_block(tmp_path, version):
     # numpy reports its buffers to tracemalloc; a second copy of the
@@ -442,7 +481,7 @@ def test_load_allocates_one_embedding_block(tmp_path, version):
         cfg, [CaptionRecord(i + 1, f"c{i}", emb[n + i], Pose(1.0, 2.0), float(i)) for i in range(n)]
     )
     path = tmp_path / "s.lgrsnap"
-    {"2.1": save_snapshot, "2.0": write_v2_0, "1.0": write_v1}[version](state, path)
+    {"2.1": write_v2_1, "2.0": write_v2_0, "1.0": write_v1}[version](state, path)
     del state, emb
     tracemalloc.start()
     try:
@@ -525,6 +564,27 @@ def write_v2_0(state: SessionState, path, node_order=None, record_order=None) ->
     meta = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     blocks = np.array(rows, "<f4").reshape(-1, state.cfg.embedding_dim).tobytes()
     write_v2(path, {"format": "lgr-snapshot", "version": [2, 0], "meta_bytes": len(meta)}, meta, blocks)
+
+
+def write_v2_1(state: SessionState, path) -> None:
+    """Write ``state`` in the 2.1 layout: the meta JSON with every item's
+    fields but its vector, then each store's ``uid`` column and its stored
+    vectors, as the store holds them."""
+    payload = v1_payload(state)
+    uids, blocks = [], []
+    for section, key, store in (
+        ("graph", "nodes", state.graph), ("captions", "records", state.captions)
+    ):
+        for it in payload[section][key]:
+            del it["embedding"]
+        cols = store._cols
+        payload[section]["vectors"] = cols.distinct
+        uid = np.arange(cols.size) if cols.uid is None else cols.uid[: cols.size]
+        uids.append(uid.astype("<i8").tobytes())
+        blocks += [b.astype("<f4").tobytes() for b in cols.blocks()]
+    meta = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    header = {"format": "lgr-snapshot", "version": [2, 1], "meta_bytes": len(meta)}
+    write_v2(path, header, meta, b"".join(uids + blocks))
 
 
 def repeating_state(seed: int = 23, frames: int = 40) -> SessionState:
