@@ -12,14 +12,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .columns import Columns, RowStore
+from .columns import Columns, Item, RowStore
 from .model import Observation, Pose, ensure_valid
 
 
 @dataclass(frozen=True, eq=False)
-class CaptionRecord:
-    """One scene description; a record that ingest inserts holds a
-    read-only view of its store's chunk row as ``embedding``."""
+class CaptionRecord(Item):
+    """One scene description. The store keeps its records only in columns
+    and builds a record when one is asked for: its ``embedding`` is then a
+    read-only view of the stored vector. Records with equal fields are
+    equal."""
 
     record_id: int
     text: str
@@ -46,9 +48,8 @@ class CaptionHit:
 class CaptionStore(RowStore):
     """Flat scan store with the same writer/reader contract as the graph."""
 
-    _ID = "record_id"
-    _TIME = "time"
-    _WHAT = "caption record"
+    _ITEM, _ID, _WHAT = CaptionRecord, "record_id", "caption record"
+    _REST = ("time",)
 
     record_count = RowStore.__len__
     get_record = RowStore._get
@@ -64,9 +65,8 @@ class CaptionStore(RowStore):
             raise ValueError(f"observation {obs.frame_id!r} carries no caption")
         ensure_valid(obs, self._cfg)
         with self._lock:
-            rid, pose = self._next_id, obs.pose
-            e = self._cols.append(rid, obs.caption.embedding, pose.x, pose.y, pose.z, obs.time)
-            self._items.append(CaptionRecord(rid, obs.caption.text, e, pose, obs.time))
+            rid = self._next_id
+            self._cols.append(rid, obs.caption.embedding, obs.caption.text, obs.pose, time=obs.time)
             self._next_id = rid + 1
             return rid
 
@@ -76,23 +76,17 @@ class CaptionStore(RowStore):
 
     def query_text(self, q: np.ndarray, k: int) -> list[CaptionHit]:
         """Top-k by descending cosine similarity to a query embedding."""
-        return self._hits(Columns.top_cosine, q, k)
+        return self.hits(Columns.top_cosine, q, k, CaptionHit)
 
     def query_position(self, pose: Pose, k: int) -> list[CaptionHit]:
         """Top-k by ascending L2 distance over x, y, z."""
         x, y, z = pose.x, pose.y, pose.z
         if not all(math.isfinite(v) for v in (x, y, z)):
             raise ValueError(f"coordinates must be finite, got ({x}, {y}, {z})")
-        return self._hits(Columns.top_distance, pose.position(), k)
+        return self.hits(Columns.top_distance, pose.position(), k, CaptionHit)
 
     def query_time(self, t: float, k: int) -> list[CaptionHit]:
         """Top-k by ascending absolute time difference."""
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
-        return self._hits(Columns.top_time_gap, t, k)
-
-    def _hits(self, rank, arg, k: int) -> list[CaptionHit]:
-        return [
-            CaptionHit(r.record_id, r.text, r.pose, r.time, s)
-            for r, s in self._top(rank, arg, k)
-        ]
+        return self.hits(Columns.top_time_gap, t, k, CaptionHit)

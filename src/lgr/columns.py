@@ -1,9 +1,12 @@
 """Column store and exact top-k shared by the entity graph and caption store.
 
-Both stores keep one row per item in columns: float64 x, y, z and time
-columns, an int64 id column, and float32 embeddings (the stored vectors,
-exactly). Rows stay in ascending id order, so a row is found from its id
-by binary search and the row order doubles as the id order.
+Both stores keep one row per item in columns, and nowhere else: float64
+x, y, z, yaw and time, int64 ids, an int64 index into the store's text
+table (which holds each label or caption once), the graph's first_seen
+and obs_count, and float32 embeddings (the stored vectors, exactly). An
+item or a hit is built from its row when it is asked for. Rows stay in
+ascending id order, so a row is found from its id by binary search and
+the row order doubles as the id order.
 
 The embeddings are interned: a list of float32 chunks that are never
 reallocated holds each stored vector once, and once two rows share a
@@ -18,9 +21,9 @@ is, and ``restore`` copies the items' vectors into one, one vector per
 row. Restored vectors are not hashed: hashing costs as much as the rest
 of a 100k-row restore, so only appended vectors are looked up. Appended
 vectors fill chunks of ``_CHUNK`` vectors, allocated when the first one
-lands in them, and the items that ingest creates hold read-only views of
-their vector's chunk row. An embedding is fixed at creation; updates
-rewrite only x, y, z and time.
+lands in them. An item's embedding is a read-only view of its vector's
+chunk row; it is fixed at creation, and a graph update rewrites only x,
+y, z, time and obs_count.
 
 Cosine scores are the clipped float64 dot products of the stored vectors
 with the query, computed with ``row_dots``. A scan gets them by filter
@@ -39,21 +42,28 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields
 from operator import attrgetter
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .embedding import row_dots
-from .model import Config
+from .model import Config, Pose
 
 _GROW = 64
+ROWS = ("ids", "x", "y", "z", "yaw", "time", "text")  # every store's row columns, in file order
+_HEAD = ("ids", "text", "x", "y", "z", "yaw")  # the columns every item and hit begins with
 _CHUNK = 4096  # vectors per appended embedding chunk, and per float64 refine block
 _F32 = np.dtype(np.float32)
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoff of float32 and float64
 _TINY = 2.0**-149  # twice the largest error of one float32 (or float64) underflow
 _ROUND_UP = 1.0 + 2.0**-20  # covers the float64 rounding in computing a bound
+
+
+def column_dtype(name: str) -> np.dtype:
+    """int64 for ids, text indexes, counts and vector indexes; else float64."""
+    return np.dtype(np.int64 if name in ("ids", "text", "count", "uid") else np.float64)
 
 
 def check_dim(embedding, dim: int) -> np.ndarray:
@@ -112,8 +122,9 @@ class Columns:
     views of its rows stay valid. The first chunk of a restored store is
     its whole embedding block; each later one holds ``_CHUNK`` vectors.
     ``uid`` is None while row i holds vector i; once a vector is shared,
-    ``uid[row]`` is the row's vector. The x, y, z, time, id and uid
-    columns grow by doubling. Chunk rows and capacity beyond what is used
+    ``uid[row]`` is the row's vector. ``texts`` holds each distinct text
+    once, and the ``text`` column indexes it. The row columns (``names``)
+    and ``uid`` grow by doubling. Chunk rows and capacity beyond what is used
     come from ``np.empty`` and are never written until something lands
     there, so unused headroom costs no resident memory. ``_index`` maps the
     hash of each appended vector's bytes to the vector; it holds no bytes.
@@ -121,15 +132,18 @@ class Columns:
     or inf once a vector is not finite); the cosine filter's bound uses it.
     """
 
-    def __init__(self, dim: int, capacity: int = 0):
+    def __init__(self, dim: int, capacity: int = 0, names: tuple[str, ...] = ROWS):
         self.size = 0
         self.distinct = 0
         self.dim = dim
         self.chunks: list[np.ndarray] = []
         self.starts: list[int] = []
-        self.x, self.y, self.z, self.time = (np.empty(capacity, np.float64) for _ in range(4))
-        self.ids = np.empty(capacity, np.int64)
+        self.names = names
+        for name in names:
+            setattr(self, name, np.empty(capacity, column_dtype(name)))
         self.uid: np.ndarray | None = None
+        self.texts: list[str] = []
+        self._text_ids: dict[str, int] = {}
         self._index: dict[int, int] = {}
         self.norm_bound = 0.0
         # the parts of the cosine bound that depend on the dimension alone
@@ -144,10 +158,11 @@ class Columns:
             self.distinct = block.shape[0]
             self.bound_norms(float(np.einsum("ij,ij->i", block, block).max()))
 
-    def append(self, id_: int, emb, x: float, y: float, z: float, t: float) -> np.ndarray:
-        """Add a row and return a read-only view of its stored embedding;
-        ``id_`` must be above every stored id. A vector byte-identical to
-        one appended before is not stored again: the row shares it."""
+    def append(self, id_: int, emb, text: str, pose, **values) -> None:
+        """Add a row: its id, vector, text and pose, and ``values`` for its
+        other columns by name. ``id_`` must be above every stored id. A
+        vector byte-identical to one appended before is not stored again:
+        the row shares it, as it shares a text appended before."""
         row = self.size
         if row == self.ids.shape[0]:
             self._grow(row + max(_GROW, row))
@@ -172,20 +187,27 @@ class Columns:
             self.distinct = u + 1
         if self.uid is not None:
             self.uid[row] = u
-        self.write(row, x, y, z, t)
-        self.ids[row] = id_
+        text_id = self._text_ids.setdefault(text, len(self.texts))
+        if text_id == len(self.texts):
+            self.texts.append(text)
+        self.write(row, ids=id_, text=text_id, x=pose.x, y=pose.y, z=pose.z, yaw=pose.yaw, **values)
         self.size = row + 1
+
+    def _vector(self, u: int) -> np.ndarray:
+        """A read-only view of stored vector ``u``."""
+        c = bisect_right(self.starts, u) - 1
+        e = self.chunks[c][u - self.starts[c]]
         e.flags.writeable = False
         return e
 
-    def _vector(self, u: int) -> np.ndarray:
-        """A view of stored vector ``u``."""
-        c = bisect_right(self.starts, u) - 1
-        return self.chunks[c][u - self.starts[c]]
+    def gather(self, rows: np.ndarray, names) -> list[list]:
+        """The values of ``rows`` in each column of ``names``, as lists."""
+        return [getattr(self, c)[rows].tolist() for c in names]
 
-    def write(self, row: int, x: float, y: float, z: float, t: float) -> None:
-        """Set a row's position and time; its embedding is fixed at creation."""
-        self.x[row], self.y[row], self.z[row], self.time[row] = x, y, z, t
+    def write(self, row: int, **values) -> None:
+        """Set columns of a row by name; its embedding is fixed at creation."""
+        for name, value in values.items():
+            getattr(self, name)[row] = value
 
     def bound_norms(self, max_sq: float) -> None:
         """Widen ``norm_bound`` to vectors whose largest float32 squared norm
@@ -321,10 +343,10 @@ class Columns:
         return rows, s[rows]
 
     def _grow(self, capacity: int) -> None:
-        """Move the x, y, z, time, id and uid columns to ``capacity`` rows,
+        """Move the row columns and the uid column to ``capacity`` rows,
         copying only used rows."""
         n = self.size
-        for name in ("x", "y", "z", "time", "ids", "uid"):
+        for name in (*self.names, "uid"):
             old = getattr(self, name)
             if old is not None:
                 new = np.empty(capacity, old.dtype)
@@ -341,12 +363,11 @@ def _column(objs: list, name: str, dtype) -> np.ndarray:
 
 def _stack(items: list, dim: int, what: str) -> np.ndarray:
     """One (n, dim) float32 copy of the items' embeddings, after checking
-    each distinct (shape, dtype) pair once."""
-    kinds = set(map(attrgetter("embedding.shape", "embedding.dtype"), items))
-    for shape, _ in kinds:
+    each distinct shape, then each distinct dtype, once."""
+    for shape in set(map(attrgetter("embedding.shape"), items)):
         if shape != (dim,):
             raise _dim_error(dim, shape)
-    for _, dtype in kinds:
+    for dtype in set(map(attrgetter("embedding.dtype"), items)):
         if dtype != _F32:
             raise ValueError(f"{what} embeddings must be float32, got {dtype}")
     block = np.empty((len(items), dim), np.float32)
@@ -355,26 +376,46 @@ def _stack(items: list, dim: int, what: str) -> np.ndarray:
     return block
 
 
-class RowStore:
-    """Single-writer, many-reader store of items, one per column row.
+class Item:
+    """Base of the items a store builds from its rows: items are equal
+    when their fields are, embeddings element by element."""
 
-    All mutation happens under ``_lock``. ``_items[row]`` is the item behind
-    row ``row`` of ``_cols``; ids only grow, so rows stay in id order.
-    Subclasses name the id attribute (``_ID``), the time attribute
-    (``_TIME``) and the item kind for errors (``_WHAT``); every item keeps
-    its vector in ``embedding`` and its position in ``pose``.
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = zip(vars(self).values(), vars(other).values())
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+class RowStore:
+    """Single-writer, many-reader store of rows, kept only in columns.
+
+    All mutation happens under ``_lock``; ids only grow, so rows stay in id
+    order. An item (``_ITEM``: id, text, embedding, pose, then the
+    ``_REST`` columns, in field order) or a hit (``hit(id, text, pose,
+    time, score)``) is built from its row when it is asked for; an item's
+    ``embedding`` is a read-only view of the stored vector. Subclasses also
+    name the id attribute (``_ID``) and the item kind for errors
+    (``_WHAT``).
     """
 
+    _ITEM: type
+    _REST: tuple[str, ...]
     _ID: str
-    _TIME: str
     _WHAT: str
 
     def __init__(self, cfg: Config):
         self._cfg = cfg
         self._lock = threading.Lock()
-        self._items: list = []
         self._next_id = 1
-        self._cols = Columns(cfg.embedding_dim)
+        self._cols = Columns(cfg.embedding_dim, 0, self.column_names())
+
+    @classmethod
+    def column_names(cls) -> tuple[str, ...]:
+        """The store's row columns: every store's, then its own."""
+        return ROWS + tuple(c for c in cls._REST if c not in ROWS)
 
     @property
     def cfg(self) -> Config:
@@ -387,28 +428,38 @@ class RowStore:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._items)
+            return self._cols.size
 
     def _get(self, id_: int):
         with self._lock:
             try:
-                return self._items[self._cols.row_of(id_)]
+                return self._items(np.array([self._cols.row_of(id_)]))[0]
             except KeyError:
                 raise KeyError(f"no such {self._WHAT}: {id_}") from None
 
     def _all(self) -> list:
         """Items in creation order (ascending id)."""
         with self._lock:
-            return list(self._items)
+            return self._items(np.arange(self._cols.size))
 
-    def _export(self) -> tuple[list, list[np.ndarray], np.ndarray | None]:
-        """Items in id order, the float32 blocks of the stored vectors, and
-        each item's vector (None when item i holds vector i), taken under
-        one lock."""
+    def _items(self, rows: np.ndarray) -> list:
+        """Items built from ``rows`` (call with the lock held)."""
+        cols = self._cols
+        ids, text, x, y, z, yaw, *rest = cols.gather(rows, _HEAD + self._REST)
+        texts = map(cols.texts.__getitem__, text)
+        vectors = map(cols._vector, (rows if cols.uid is None else cols.uid[rows]).tolist())
+        return list(map(self._ITEM, ids, texts, vectors, map(Pose, x, y, z, yaw), *rest))
+
+    def _export(self) -> tuple[dict, list[str], list[np.ndarray], np.ndarray | None]:
+        """Copies of the used rows of every row column by name, the text
+        table, the float32 blocks of the stored vectors, and each row's
+        vector (None when row i holds vector i), taken under one lock."""
         with self._lock:
             cols = self._cols
-            uid = None if cols.uid is None else cols.uid[: cols.size]
-            return list(self._items), cols.blocks(), uid
+            n = cols.size
+            uid = None if cols.uid is None else cols.uid[:n]
+            values = {c: getattr(cols, c)[:n].copy() for c in cols.names}
+            return values, cols.texts[:], cols.blocks(), uid
 
     def vector_count(self) -> int:
         """Distinct stored vectors; ``len(self)`` less the rows that share one."""
@@ -420,63 +471,81 @@ class RowStore:
         in its order."""
         with self._lock:
             rows, s = rank(self._cols, arg, k)
-            return [(self._items[r], v) for r, v in zip(rows.tolist(), s.tolist())]
+            return list(zip(self._items(rows), s.tolist()))
+
+    def hits(self, rank: Callable, arg, k: int, hit: type) -> list:
+        """``hit(id, text, pose, time, score)`` of each of the k rows
+        ``rank(columns, arg, k)`` picks, in its order."""
+        with self._lock:
+            cols = self._cols
+            rows, s = rank(cols, arg, k)
+            ids, text, x, y, z, yaw, t = cols.gather(rows, (*_HEAD, "time"))
+            texts = map(cols.texts.__getitem__, text)
+            return list(map(hit, ids, texts, map(Pose, x, y, z, yaw), t, s.tolist()))
 
     @classmethod
     def restore(cls, cfg: Config, items: Iterable, next_id: int | None = None):
         """Rebuild a store from persisted items without re-ingesting.
 
+        One pass per column takes the items' fields, and no item is kept.
         The embeddings are copied once, into one chunk, one vector per
-        row; the items keep their own arrays. They are not hashed, so only
-        vectors appended later are shared: hashing 100k rows costs as much
-        as the rest of the restore. The other columns are allocated once,
-        with as much headroom as rows. ``next_id`` must exceed every stored
-        id; it defaults to one above.
+        item. They are not hashed, so only vectors appended later are
+        shared: hashing 100k rows costs as much as the rest of the restore.
+        ``next_id`` must exceed every stored id; it defaults to one above.
         """
-        return cls._restore(cfg, items, next_id, None)
+        items = list(items)
+        fields = [f.name for f in dataclass_fields(cls._ITEM)]
+        block = _stack(items, cfg.embedding_dim, cls._WHAT)
+        poses = list(map(attrgetter("pose"), items))
+        values = {c: _column(poses, c, np.float64) for c in ("x", "y", "z", "yaw")}
+        for f, c in ((cls._ID, "ids"), *zip(fields[4:], cls._REST)):
+            values[c] = _column(items, f, column_dtype(c))
+        values["text"] = list(map(attrgetter(fields[1]), items))
+        return cls._restore(cfg, values, None, next_id, block)
 
     @classmethod
-    def _restore(cls, cfg: Config, items: Iterable, next_id: int | None, block, uid=None):
-        """``restore``, or with ``block`` (a read-only (m, dim) float32 array)
-        a store that adopts the block as its first chunk. Row i of the block
-        is ``items[i].embedding``, or with ``uid`` row ``uid[i]`` is, where
-        every block row is some item's. Items out of id order reorder
-        ``uid``, or with no ``uid`` get one sorted copy of the block and are
-        rebuilt on its rows."""
-        items = list(items)
-        n, dim = len(items), cfg.embedding_dim
-        ids = _column(items, cls._ID, np.int64)
-        order = None
+    def _restore(cls, cfg: Config, values: dict, table, next_id: int | None, block, uid=None):
+        """A store whose row columns are ``values`` by name, which adopts
+        ``block`` (a read-only (m, dim) float32 array) as its first chunk.
+        Row i holds block row i, or with ``uid`` block row ``uid[i]``.
+        ``values["text"]`` indexes ``table``, or with ``table`` None holds
+        each row's text, which is interned. Rows out of id order are
+        sorted, with ``uid``, or with no ``uid`` with one sorted copy of
+        the block. The columns get as much headroom as rows."""
+        ids = values["ids"]
         if not np.all(ids[1:] > ids[:-1]):
             order = np.argsort(ids, kind="stable")
-            ids = ids[order]
-            items = [items[i] for i in order.tolist()]
+            rows = order.tolist()
+            for c, v in values.items():
+                values[c] = [v[i] for i in rows] if isinstance(v, list) else v[order]
+            ids = values["ids"]
+            if uid is not None:
+                uid = uid[order]
+            else:
+                block = block[order]
+                block.flags.writeable = False
         dup = ids[1:][ids[1:] == ids[:-1]]
         if dup.size:
             raise ValueError(f"duplicate {cls._ID} {dup[0]}")
+        n = ids.shape[0]
         top = int(ids[-1]) if n else 0
         if next_id is None:
             next_id = top + 1
         elif next_id < 1 or next_id <= top:
             raise ValueError(f"next_id {next_id} must be >= 1 and above the largest id {top}")
-        if block is None:
-            block = _stack(items, dim, cls._WHAT)
-        elif order is not None and uid is not None:
-            uid = uid[order]
-        elif order is not None:
-            block = block[order]
-            block.flags.writeable = False
-            items = [replace(it, embedding=e) for it, e in zip(items, block)]
+        if table is None:  # intern the texts, in row order
+            table = list(dict.fromkeys(values["text"]))
+            index = dict(zip(table, range(len(table))))
+            values["text"] = np.fromiter(map(index.__getitem__, values["text"]), np.int64, n)
         store = cls(cfg)
-        store._items, store._next_id = items, next_id
-        cols = store._cols = Columns(dim, n + max(_GROW, n))
+        store._next_id = next_id
+        cols = store._cols = Columns(cfg.embedding_dim, n + max(_GROW, n), cls.column_names())
         cols.adopt(block)
         if uid is not None:
             cols.uid = np.empty_like(cols.ids)
             cols.uid[:n] = uid
-        poses = list(map(attrgetter("pose"), items))
-        cols.x[:n], cols.y[:n], cols.z[:n] = (_column(poses, a, np.float64) for a in "xyz")
-        cols.time[:n] = _column(items, cls._TIME, np.float64)
-        cols.ids[:n] = ids
+        for name in cols.names:
+            getattr(cols, name)[:n] = values[name]
+        cols.texts, cols._text_ids = table, dict(zip(table, range(len(table))))
         cols.size = n
         return store

@@ -22,7 +22,7 @@ import numpy as np
 
 from .embedding import HashProvider, l2_normalize
 from .logio import LogRecord
-from .model import Config, Pose, normalize_yaw
+from .model import Config, Pose, json_number, normalize_yaw
 from .router import Router
 
 SPATIAL_GATE_M = 25.0
@@ -73,11 +73,14 @@ class QAItem:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QAItem":
+        if not all(isinstance(d[key], str) for key in ("question", "kind")):
+            raise TypeError("question and kind must be strings")
+        gt_time = d.get("gt_time")
         return cls(
-            question=str(d["question"]),
-            kind=str(d["kind"]),
+            question=d["question"],
+            kind=d["kind"],
             gt_pose=Pose.from_dict(d["gt_pose"]) if d.get("gt_pose") else None,
-            gt_time=float(d["gt_time"]) if d.get("gt_time") is not None else None,
+            gt_time=None if gt_time is None else float(json_number(gt_time, "gt_time")),
         )
 
 
@@ -139,39 +142,21 @@ class EvalReport:
 
     def to_table(self) -> str:
         """Tab-separated per-item table with a trailing summary line."""
-        header = "\t".join(
-            ("question", "kind", "answered", "correct", "error", "latency_s", "trace")
-        )
-        lines = [header]
-        for r in self.rows:
-            lines.append(
-                "\t".join(
-                    (
-                        r.question,
-                        r.kind,
-                        str(r.answered),
-                        "" if r.correct is None else str(r.correct),
-                        "" if r.error is None else f"{r.error:.6f}",
-                        f"{r.latency:.6f}",
-                        "+".join(r.trace),
-                    )
-                )
-            )
         fmt = lambda v: "" if v is None else f"{v:.6f}"
-        lines.append(
-            "\t".join(
-                (
-                    "# summary",
-                    "",
-                    "",
-                    f"pos_acc={fmt(self.positional_accuracy)} temp_acc={fmt(self.temporal_accuracy)}",
-                    f"mean_spatial={fmt(self.mean_spatial_error)} mean_temporal={fmt(self.mean_temporal_error)}",
-                    f"{self.mean_latency:.6f}",
-                    f"fallback={fmt(self.fallback)}",
-                )
-            )
-        )
-        return "\n".join(lines)
+        lines = [("question", "kind", "answered", "correct", "error", "latency_s", "trace")]
+        for r in self.rows:
+            correct = "" if r.correct is None else str(r.correct)
+            trace = "+".join(r.trace)
+            cells = (r.question, r.kind, str(r.answered), correct, fmt(r.error), fmt(r.latency))
+            lines.append((*cells, trace))
+        lines.append((
+            "# summary", "", "",
+            f"pos_acc={fmt(self.positional_accuracy)} temp_acc={fmt(self.temporal_accuracy)}",
+            f"mean_spatial={fmt(self.mean_spatial_error)} mean_temporal={fmt(self.mean_temporal_error)}",
+            fmt(self.mean_latency),
+            f"fallback={fmt(self.fallback)}",
+        ))
+        return "\n".join(map("\t".join, lines))
 
 
 def evaluate(router: Router, items: Sequence[QAItem]) -> EvalReport:
@@ -208,18 +193,9 @@ def evaluate(router: Router, items: Sequence[QAItem]) -> EvalReport:
                 correct = False
         else:
             answered = not answer.gave_up
-        rows.append(
-            EvalRow(
-                question=item.question,
-                kind=item.kind,
-                answered=answered,
-                correct=correct,
-                error=error,
-                latency=latency,
-                gave_up=answer.gave_up,
-                trace=tuple(r.tool for r in answer.trace),
-            )
-        )
+        trace = tuple(r.tool for r in answer.trace)
+        row = (item.question, item.kind, answered, correct, error, latency, answer.gave_up)
+        rows.append(EvalRow(*row, trace))
 
     def _accuracy(kind: str) -> Optional[float]:
         scored = [r for r in rows if r.kind == kind]

@@ -16,17 +16,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .columns import Columns, RowStore
+from .columns import Columns, Item, RowStore
 from .model import Label, Observation, Pose, ensure_valid
 
 
 @dataclass(frozen=True, eq=False)
-class EntityNode:
+class EntityNode(Item):
     """One remembered entity.
 
     ``pose.x/y/z`` is the arithmetic mean of every matched sighting
-    position; ``pose.yaw`` and ``embedding`` are fixed at creation. A node
-    that ingest creates holds a read-only view of its graph's chunk row.
+    position; ``pose.yaw`` and ``embedding`` are fixed at creation. The
+    graph keeps its nodes only in columns and builds a node when one is
+    asked for: its ``embedding`` is then a read-only view of the stored
+    vector. Nodes with equal fields are equal.
     """
 
     node_id: int
@@ -47,6 +49,12 @@ class IngestReport:
     labels_processed: int
 
 
+def _running_mean(c: int, xyz, p: Pose) -> tuple:
+    """The mean position of ``c`` sightings whose mean is ``xyz`` and one
+    more at ``p``."""
+    return tuple((c * a + b) / (c + 1) for a, b in zip(xyz, (p.x, p.y, p.z)))
+
+
 def apply_update(node: EntityNode, p_new: Pose, t_new: float) -> EntityNode:
     """Fold one more sighting into a node.
 
@@ -59,15 +67,9 @@ def apply_update(node: EntityNode, p_new: Pose, t_new: float) -> EntityNode:
     if not math.isfinite(t_new):
         raise ValueError(f"time must be finite, got {t_new!r}")
     c = node.obs_count
-    pose = Pose(
-        x=(c * node.pose.x + p_new.x) / (c + 1),
-        y=(c * node.pose.y + p_new.y) / (c + 1),
-        z=(c * node.pose.z + p_new.z) / (c + 1),
-        yaw=node.pose.yaw,
-    )
-    return replace(
-        node, pose=pose, obs_count=c + 1, last_seen=max(node.last_seen, t_new)
-    )
+    x, y, z = _running_mean(c, (node.pose.x, node.pose.y, node.pose.z), p_new)
+    pose = Pose(x, y, z, node.pose.yaw)
+    return replace(node, pose=pose, obs_count=c + 1, last_seen=max(node.last_seen, t_new))
 
 
 class MemoryGraph(RowStore):
@@ -75,14 +77,15 @@ class MemoryGraph(RowStore):
 
     All mutation happens under one lock and lands atomically per
     observation: a reader never sees half of a frame's creations or
-    updates. Columns (float32 embedding chunks, float64 position and
-    last_seen) back the vectorized scans used by retrieval and matching;
-    an update rewrites only position and last_seen.
+    updates. The columns (float32 embedding chunks; float64 position, yaw,
+    first_seen and last_seen; int64 id, label index and obs_count) are the
+    only copy of the nodes and back the vectorized scans used by retrieval
+    and matching; an update rewrites only position, last_seen and
+    obs_count.
     """
 
-    _ID = "node_id"
-    _TIME = "last_seen"
-    _WHAT = "node"
+    _ITEM, _ID, _WHAT = EntityNode, "node_id", "node"
+    _REST = ("first_seen", "time", "count")  # first_seen, last_seen, obs_count
 
     node_count = RowStore.__len__
     get_node = RowStore._get
@@ -112,35 +115,34 @@ class MemoryGraph(RowStore):
                 return IngestReport((), (), 0)
             groups = self._group_labels(obs.labels)
             p = obs.pose.position()
+            cols = self._cols
             claimed: set[int] = set()
             updated: list[int] = []
-            pending: dict[int, EntityNode] = {}
+            pending: dict[int, dict] = {}  # row: its new column values
             fresh: list[tuple[int, Label]] = []
             for members in groups:
                 rep = obs.labels[members[0]]
-                matched = [
-                    nid
-                    for nid in self._find_matches_locked(rep.embedding, p)
-                    if nid not in claimed
-                ]
+                matched = self._find_matches_locked(rep.embedding, p)
+                matched = [nid for nid in matched if nid not in claimed]
                 k = len(members)
                 targets = matched if k >= len(matched) else matched[:k]
                 for nid in targets:
-                    row = self._cols.row_of(nid)
-                    pending[row] = apply_update(self._items[row], obs.pose, obs.time)
+                    row = cols.row_of(nid)
+                    c = int(cols.count[row])
+                    x, y, z = _running_mean(c, (cols.x[row], cols.y[row], cols.z[row]), obs.pose)
+                    t = max(cols.time[row], obs.time)
+                    pending[row] = {"x": x, "y": y, "z": z, "time": t, "count": c + 1}
                     claimed.add(nid)
                     updated.append(nid)
                 for _ in range(k - len(targets)):
                     fresh.append((self._next_id, rep))
                     self._next_id += 1
             # visibility point: apply the whole frame at once
-            for row, node in pending.items():
-                self._items[row] = node
-                self._cols.write(row, node.pose.x, node.pose.y, node.pose.z, node.last_seen)
-            pose, t = obs.pose, obs.time
+            for row, values in pending.items():
+                cols.write(row, **values)
+            t = obs.time
             for nid, rep in fresh:
-                e = self._cols.append(nid, rep.embedding, pose.x, pose.y, pose.z, t)
-                self._items.append(EntityNode(nid, rep.text, e, pose, t, t, 1))
+                cols.append(nid, rep.embedding, rep.text, obs.pose, time=t, first_seen=t, count=1)
             created = tuple(nid for nid, _ in fresh)
             return IngestReport(created, tuple(updated), len(obs.labels))
 

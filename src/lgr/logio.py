@@ -37,6 +37,7 @@ from .model import (
     Observation,
     Pose,
     ensure_valid,
+    json_number,
     normalize_yaw,
 )
 
@@ -131,8 +132,11 @@ def _list_field(obj: dict, key: str, default):
 def _fields(obj: dict) -> tuple[str, float, Pose, tuple[str, ...], str, Optional[list]]:
     """Check and convert a record's fields other than its vectors."""
     try:
-        frame_id = str(obj["frame_id"])
-        t = float(obj["t"])
+        frame_id = obj["frame_id"]
+        if isinstance(frame_id, bool) or not isinstance(frame_id, (str, int)):
+            raise TypeError(f"frame_id must be a string or an integer, got {frame_id!r}")
+        frame_id = str(frame_id)
+        t = float(json_number(obj["t"], "t"))
         pose = Pose.from_dict(obj["pose"])
         labels = tuple(_list_field(obj, "labels", []))
         caption = obj.get("caption", "")
@@ -248,25 +252,11 @@ def record_to_observation(
         labels.append(Label(text=text, embedding=emb))
     caption = None
     if record.caption:
-        emb = (
-            record.caption_embedding
-            if record.caption_embedding is not None
-            else provider.embed(record.caption)
-        )
-        caption = Caption(text=record.caption, embedding=emb)
-    pose = Pose(
-        x=record.pose.x,
-        y=record.pose.y,
-        z=record.pose.z,
-        yaw=normalize_yaw(record.pose.yaw) if math.isfinite(record.pose.yaw) else record.pose.yaw,
-    )
-    obs = Observation(
-        frame_id=record.frame_id,
-        pose=pose,
-        time=record.t,
-        labels=tuple(labels),
-        caption=caption,
-    )
+        emb = record.caption_embedding
+        caption = Caption(record.caption, provider.embed(record.caption) if emb is None else emb)
+    p = record.pose
+    pose = Pose(p.x, p.y, p.z, normalize_yaw(p.yaw) if math.isfinite(p.yaw) else p.yaw)
+    obs = Observation(record.frame_id, pose, record.t, tuple(labels), caption)
     ensure_valid(obs, cfg)
     return obs
 

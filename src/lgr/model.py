@@ -17,6 +17,15 @@ import numpy as np
 EMBEDDING_NORM_TOL = 1e-6
 
 
+def json_number(value, what: str, kind: type = Real):
+    """``value`` when it is a number of ``kind`` (``Integral`` for an
+    integer) and not a bool, as a JSON number is; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is Integral else "a number"
+        raise ValueError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
 def normalize_yaw(theta: float) -> float:
     """Wrap an angle into [-pi, pi).
 
@@ -52,12 +61,10 @@ class Pose:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Pose":
-        return cls(
-            float(d["x"]),
-            float(d["y"]),
-            float(d.get("z", 0.0)),
-            float(d.get("yaw", 0.0)),
-        )
+        """A pose from its JSON object; each field must be a JSON number."""
+        values = d["x"], d["y"], d.get("z", 0.0), d.get("yaw", 0.0)
+        names = ("pose.x", "pose.y", "pose.z", "pose.yaw")
+        return cls(*(float(json_number(v, name)) for v, name in zip(values, names)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +119,7 @@ class Config:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            kind, what = (Integral, "an integer") if f.type == "int" else (Real, "a number")
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            json_number(getattr(self, f.name), f.name, Integral if f.type == "int" else Real)
         if not (math.isfinite(self.delta_p) and self.delta_p > 0):
             raise ValueError(f"delta_p must be > 0, got {self.delta_p}")
         if not (0.0 < self.delta_e <= 1.0):

@@ -1,31 +1,33 @@
 """Versioned, checksummed persistence for a whole session.
 
-Format 2.1 layout: one JSON header line (format name, version, payload
+Format 2.2 layout: one JSON header line (format name, version, payload
 length ``payload_bytes``, meta length ``meta_bytes`` and the payload
-SHA-256), then the payload: the meta JSON (config, provider, node and
-record fields other than embeddings, each store's count of stored
-vectors ``vectors``, next ids, stats), the graph's and then the caption
-store's ``uid`` column, and the graph's and then the caption store's
-vector block. A ``uid`` column gives each item, in id order, the row of
-its store's block that holds its embedding, as little-endian int64
-(``count * 8`` bytes). A block holds each store's distinct stored
-vectors as row-major little-endian float32 (``vectors * embedding_dim *
-4`` bytes), so a vector that many items share is written once. Both
-stores keep float32 embeddings, so retrieval is bit-identical across a
-save/load round trip.
+SHA-256), then the payload: the meta JSON (config, provider, stats and,
+per store, ``next_id``, its row count ``rows``, its count of stored
+vectors ``vectors`` and its text table ``texts``), each store's row
+columns (the graph's, then the caption store's), and each store's vector
+block. A store's columns are ``ids``, ``x``, ``y``, ``z``, ``yaw``,
+``time`` and ``text`` (an index into ``texts``), the graph's
+``first_seen`` and ``count`` (obs_count), then ``uid``, the row of the
+store's block that holds the row's embedding: ``rows * 8`` bytes each,
+little-endian int64 (ids, text, count, uid) or float64. A block holds the
+store's distinct stored vectors as row-major little-endian float32
+(``vectors * embedding_dim * 4`` bytes), so a shared vector is written
+once, and retrieval is bit-identical across a save/load round trip.
 
-Loading verifies the frame, the lengths, the checksum and the ``uid``
-columns before any state is constructed, so a corrupt or truncated file
-can never leave partial state behind. The payload is read into one
-buffer, which is the only copy of the embeddings: each store adopts its
-read-only block as its first embedding chunk, with no copy and no
-hashing, and loaded items hold row views of it. Saves write the stores'
-chunks as they are. Format 2.0 files, whose blocks hold one vector per
-item and no ``uid`` columns, still load, as do format 1.x files, whose
-payload is one JSON document with base64 vectors inline: their vectors
-are decoded straight into one block per store, which is adopted the same
-way. Either gives one vector per item; a 2.0 file whose items are out of
-id order costs one sorted copy. Saves always write the current format.
+Loading verifies the frame, the lengths, the checksum, the ``uid``
+columns and the row columns (ascending ids below ``next_id``, text
+indexes in the table, counts of at least 1) before any state is
+constructed, so a corrupt or truncated file never leaves partial state.
+The payload is read into one buffer, the only copy of the embeddings:
+each store adopts its read-only block as its first chunk, with no copy
+and no hashing, and copies the row columns into its own. Older formats
+still load: 2.1 (each item's fields in the meta, then the ``uid``
+columns and blocks), 2.0 (no ``uid`` columns: one vector per item) and
+1.x (one JSON document, base64 vectors inline, decoded straight into one
+block per store). Their fields are checked as they fill the columns; an
+out-of-order 2.0 or 1.x file costs one sorted copy of its block. Saves
+always write the current format.
 """
 
 from __future__ import annotations
@@ -33,21 +35,23 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from numbers import Integral, Real
 from dataclasses import dataclass
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
-from .captions import CaptionRecord, CaptionStore
-from .columns import _dim_error
+from .captions import CaptionStore
+from .columns import RowStore, _dim_error, column_dtype
 from .embedding import EmbeddingProvider, FixtureProvider, HashProvider
-from .graph import EntityNode, IngestReport, MemoryGraph
+from .graph import IngestReport, MemoryGraph
 from .logio import decode_vector, encode_vector
-from .model import Config, Observation, Pose
+from .model import Config, Observation, Pose, json_number
 from .router import SessionStats
 
 FORMAT_NAME = "lgr-snapshot"
-FORMAT_VERSION = (2, 1)
+FORMAT_VERSION = (2, 2)
 _CHUNK = 1024  # embedding rows written and hashed at a time on save
 
 
@@ -73,13 +77,7 @@ class SessionState:
                 f"provider dimension {provider.dimension()} != config embedding_dim "
                 f"{cfg.embedding_dim}"
             )
-        return cls(
-            cfg=cfg,
-            provider=provider,
-            graph=MemoryGraph(cfg),
-            captions=CaptionStore(cfg),
-            stats=SessionStats(),
-        )
+        return cls(cfg, provider, MemoryGraph(cfg), CaptionStore(cfg), SessionStats())
 
     def ingest(self, obs: Observation) -> IngestReport:
         """Apply one observation: the graph first, then its caption if it
@@ -117,46 +115,38 @@ def provider_from_spec(spec: dict) -> EmbeddingProvider:
     raise SnapshotError(f"unknown provider kind: {kind!r}")
 
 
-def _node_to_dict(node: EntityNode) -> dict:
-    return {
-        "node_id": node.node_id,
-        "label_text": node.label_text,
-        "pose": node.pose.to_dict(),
-        "first_seen": node.first_seen,
-        "last_seen": node.last_seen,
-        "obs_count": node.obs_count,
-    }
+def _entry_columns(store: type[RowStore], entries: list) -> dict:
+    """The row columns of a 1.x-2.1 meta's entries (one JSON object per
+    item, its fields by name): texts must be strings, numbers JSON numbers,
+    ids and counts integers."""
+    fields = [f.name for f in dataclass_fields(store._ITEM)]
+    values = {"text": [d[fields[1]] for d in entries]}
+    if not all(type(t) is str for t in values["text"]):
+        raise ValueError(f"every {fields[1]} must be a string")
+    for name, col in ((fields[0], "ids"), *zip(fields[4:], store._REST)):
+        dtype = column_dtype(col)
+        kind = Integral if dtype == np.int64 else Real
+        values[col] = np.array([json_number(d[name], name, kind) for d in entries], dtype)
+    poses = [Pose.from_dict(d["pose"]) for d in entries]
+    values.update({c: np.array([getattr(p, c) for p in poses]) for c in ("x", "y", "z", "yaw")})
+    return values
 
 
-def _node_from_dict(d: dict, embedding: np.ndarray) -> EntityNode:
-    return EntityNode(
-        node_id=int(d["node_id"]),
-        label_text=str(d["label_text"]),
-        embedding=embedding,
-        pose=Pose.from_dict(d["pose"]),
-        first_seen=float(d["first_seen"]),
-        last_seen=float(d["last_seen"]),
-        obs_count=int(d["obs_count"]),
-    )
-
-
-def _record_to_dict(record: CaptionRecord) -> dict:
-    return {
-        "record_id": record.record_id,
-        "text": record.text,
-        "pose": record.pose.to_dict(),
-        "time": record.time,
-    }
-
-
-def _record_from_dict(d: dict, embedding: np.ndarray) -> CaptionRecord:
-    return CaptionRecord(
-        record_id=int(d["record_id"]),
-        text=str(d["text"]),
-        embedding=embedding,
-        pose=Pose.from_dict(d["pose"]),
-        time=float(d["time"]),
-    )
+def _check_rows(values: dict, table: list | None, what: str) -> None:
+    """Refuse an obs_count below 1 and, in a 2.2 file (with ``table``),
+    ids that do not ascend or text indexes outside the text table."""
+    count = values.get("count")
+    if count is not None and count.size and count.min() < 1:
+        raise ValueError(f"obs_count must be >= 1, got {count.min()}")
+    if table is None:
+        return
+    ids, text = values["ids"], values["text"]
+    if not np.all(ids[1:] > ids[:-1]):
+        raise ValueError(f"{what} ids must be ascending and unique")
+    if type(table) is not list or not all(type(t) is str for t in table):
+        raise ValueError(f"{what} texts must be a list of strings")
+    if text.size and (text.min() < 0 or text.max() >= len(table)):
+        raise ValueError(f"{what} text indexes must lie in [0, {len(table)})")
 
 
 def _header(payload_bytes: int, meta_bytes: int, digest: str) -> bytes:
@@ -178,41 +168,30 @@ def save_snapshot(state: SessionState, path: str | Path) -> None:
     at a time; the header goes first with a placeholder digest of the same
     length and is rewritten in place once the payload is hashed.
     """
-    nodes, node_blocks, node_uid = state.graph._export()
-    records, record_blocks, record_uid = state.captions._export()
-    vectors = [sum(b.shape[0] for b in bs) for bs in (node_blocks, record_blocks)]
-    meta = {
-        "config": state.cfg.to_dict(),
-        "provider": provider_to_spec(state.provider),
-        "graph": {
-            "next_id": state.graph.next_id,
-            "nodes": [_node_to_dict(n) for n in nodes],
-            "vectors": vectors[0],
-        },
-        "captions": {
-            "next_id": state.captions.next_id,
-            "records": [_record_to_dict(r) for r in records],
-            "vectors": vectors[1],
-        },
-        "stats": state.stats.to_dict(),
-    }
+    meta = {"config": state.cfg.to_dict(), "provider": provider_to_spec(state.provider)}
+    meta["stats"] = state.stats.to_dict()
+    columns, blocks = [], []
+    for key, store in (("graph", state.graph), ("captions", state.captions)):
+        values, texts, store_blocks, uid = store._export()
+        n = len(values["ids"])
+        vectors = sum(b.shape[0] for b in store_blocks)
+        meta[key] = {"next_id": store.next_id, "rows": n, "vectors": vectors, "texts": texts}
+        columns += [*values.values(), np.arange(n, dtype=np.int64) if uid is None else uid]
+        blocks += store_blocks
+    columns = [c.astype(c.dtype.newbyteorder("<"), copy=False) for c in columns]
     body = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    uids = [
-        (np.arange(len(items)) if uid is None else uid).astype("<i8", copy=False)
-        for items, uid in ((nodes, node_uid), (records, record_uid))
-    ]
-    payload_bytes = len(body) + sum(u.nbytes for u in uids)
-    payload_bytes += sum(vectors) * state.cfg.embedding_dim * 4
+    payload_bytes = len(body) + sum(c.nbytes for c in columns)
+    payload_bytes += sum(b.shape[0] for b in blocks) * state.cfg.embedding_dim * 4
     sha = hashlib.sha256(body)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("wb") as fh:
         fh.write(_header(payload_bytes, len(body), "0" * sha.digest_size * 2))
         fh.write(body)
-        for part in uids:
+        for part in columns:
             sha.update(part)
             fh.write(part)
-        for block in node_blocks + record_blocks:
+        for block in blocks:
             for i in range(0, block.shape[0], _CHUNK):
                 part = block[i : i + _CHUNK].astype("<f4", copy=False)  # copies on big-endian hosts
                 sha.update(part)
@@ -261,28 +240,35 @@ def _read_header(line: bytes, path: Path) -> tuple[list[int], int, int, str]:
     return version, payload_bytes, meta_bytes, header.get("payload_sha256")
 
 
-def _split_blocks(blocks: np.ndarray, dim: int, counts: list, vectors: list | None, path: Path):
-    """Read-only (node, record) float32 vector blocks and (node, record)
-    ``uid`` columns of a payload's binary part, for stores of ``counts``
-    items and ``vectors`` stored vectors. The uid columns are None for a
-    2.0 file (``vectors`` None), and for a store whose item i holds
-    vector i."""
-    uid_bytes = 0 if vectors is None else sum(counts) * 8
+def _split_blocks(blocks: np.ndarray, dim: int, counts: list, vectors: list | None, names, path):
+    """Per store (graph, then records): its row columns by name, its
+    read-only float32 vector block and its ``uid`` column, read from a
+    payload's binary part for stores of ``counts`` rows and ``vectors``
+    stored vectors (one per row in a 2.0 file, ``vectors`` None). The
+    binary part holds each store's columns ``names`` (8 bytes per row
+    each, ``uid`` among them from 2.1 on), then each store's vectors. The
+    uid column is None where row i holds vector i."""
+    col_bytes = sum(n * 8 * len(cols) for n, cols in zip(counts, names))
     vectors = vectors or counts
-    expected = uid_bytes + sum(vectors) * dim * 4
-    if blocks.size != expected or min(vectors) < 0:
+    expected = col_bytes + sum(vectors) * dim * 4
+    if blocks.size != expected or min(vectors + counts) < 0:
         raise SnapshotError(
             f"{path}: embedding blocks hold {blocks.size} bytes, expected {expected} "
             f"for {counts[0]} nodes and {counts[1]} records of dimension {dim} "
             f"({vectors[0]} and {vectors[1]} stored vectors)"
         )
     # astype copies only on a big-endian host
-    emb = blocks[uid_bytes:].view("<f4").reshape(-1, dim).astype(np.float32, copy=False)
+    emb = blocks[col_bytes:].view("<f4").reshape(-1, dim).astype(np.float32, copy=False)
     emb.setflags(write=False)
-    uid = blocks[:uid_bytes].view("<i8").astype(np.int64, copy=False)
     out, lo, at = [], 0, 0
-    for what, n, m in zip(("node", "record"), counts, vectors):
-        u = uid[at : at + n] if uid_bytes else None
+    for what, n, m, cols in zip(("node", "record"), counts, vectors, names):
+        values = {}
+        for name in cols:  # astype copies only on a big-endian host
+            dtype = column_dtype(name)
+            column = blocks[at : at + 8 * n].view(dtype.newbyteorder("<"))
+            values[name] = column.astype(dtype, copy=False)
+            at += 8 * n
+        u = values.pop("uid", None)
         if u is not None:
             outside = u.size and (u.min() < 0 or u.max() >= m)
             if outside or np.count_nonzero(np.bincount(u, minlength=m)) != m:
@@ -292,8 +278,8 @@ def _split_blocks(blocks: np.ndarray, dim: int, counts: list, vectors: list | No
                 )
             if m == n and np.array_equal(u, np.arange(n)):
                 u = None  # one vector per item, in item order
-        out.append((emb[lo : lo + m], u))
-        lo, at = lo + m, at + n
+        out.append((values, emb[lo : lo + m], u))
+        lo += m
     return out
 
 
@@ -308,11 +294,6 @@ def _decode_block(entries: list, dim: int) -> np.ndarray:
         row[...] = e
     block.setflags(write=False)
     return block
-
-
-def _rows(block: np.ndarray, uid) -> list:
-    """Each item's embedding: a view of its row of ``block``."""
-    return list(block) if uid is None else [block[u] for u in uid.tolist()]
 
 
 def load_snapshot(path: str | Path) -> SessionState:
@@ -346,32 +327,32 @@ def load_snapshot(path: str | Path) -> SessionState:
         payload = json.loads(meta.decode("utf-8"))
         cfg = Config.from_dict(payload["config"])
         provider = provider_from_spec(payload["provider"])
-        g, c = payload["graph"], payload["captions"]
+        sections = payload["graph"], payload["captions"]
+        kinds = (MemoryGraph, "nodes"), (CaptionStore, "records")
         dim = cfg.embedding_dim
         if version[0] < 2:
-            node_block = _decode_block(g["nodes"], dim)
-            record_block = _decode_block(c["records"], dim)
-            node_uid = record_uid = None
+            parts = [({}, _decode_block(s[key], dim), None) for s, (_, key) in zip(sections, kinds)]
         else:
-            counts = [len(g["nodes"]), len(c["records"])]
-            vectors = None if version < [2, 1] else [int(g["vectors"]), int(c["vectors"])]
-            (node_block, node_uid), (record_block, record_uid) = _split_blocks(
-                blocks, dim, counts, vectors, path
-            )
-        nodes = [_node_from_dict(d, e) for d, e in zip(g["nodes"], _rows(node_block, node_uid))]
-        graph = MemoryGraph._restore(cfg, nodes, int(g["next_id"]), node_block, node_uid)
-        records = [
-            _record_from_dict(d, e) for d, e in zip(c["records"], _rows(record_block, record_uid))
-        ]
-        captions = CaptionStore._restore(cfg, records, int(c["next_id"]), record_block, record_uid)
+            vectors = None
+            if version >= [2, 1]:
+                vectors = [json_number(s["vectors"], "vectors", Integral) for s in sections]
+            if version >= [2, 2]:
+                counts = [json_number(s["rows"], "rows", Integral) for s in sections]
+                names = [(*store.column_names(), "uid") for store, _ in kinds]
+            else:
+                counts = [len(s[key]) for s, (_, key) in zip(sections, kinds)]
+                names = [("uid",) if vectors else ()] * 2
+            parts = _split_blocks(blocks, dim, counts, vectors, names, path)
+        stores = []
+        for (store, key), s, (values, block, uid) in zip(kinds, sections, parts):
+            table = s["texts"] if version >= [2, 2] else None
+            if table is None:
+                values.update(_entry_columns(store, s[key]))
+            _check_rows(values, table, store._WHAT)
+            next_id = json_number(s["next_id"], "next_id", Integral)
+            stores.append(store._restore(cfg, values, table, next_id, block, uid))
+        graph, captions = stores
         stats = SessionStats.from_dict(payload.get("stats", {}))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path}: malformed snapshot payload: {exc}") from None
-    return SessionState(
-        cfg=cfg,
-        provider=provider,
-        graph=graph,
-        captions=captions,
-        stats=stats,
-        format_version=tuple(version),
-    )
+    return SessionState(cfg, provider, graph, captions, stats, tuple(version))

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .columns import Columns
 from .embedding import EmbeddingProvider
 from .graph import MemoryGraph
 from .model import Pose
@@ -36,19 +37,6 @@ class RetrievalHit:
         return asdict(self)
 
 
-def _hits(pairs) -> list[RetrievalHit]:
-    return [
-        RetrievalHit(
-            node_id=node.node_id,
-            label_text=node.label_text,
-            pose=node.pose,
-            last_seen=node.last_seen,
-            score=score,
-        )
-        for node, score in pairs
-    ]
-
-
 def t_semantic(
     graph: MemoryGraph, provider: EmbeddingProvider, query: str, k: int
 ) -> list[RetrievalHit]:
@@ -60,7 +48,7 @@ def t_semantic(
     """
     if not query:
         raise ValueError("query must be non-empty")
-    return _hits(graph.top_semantic(provider.embed(query), k))
+    return graph.hits(Columns.top_cosine, provider.embed(query), k, RetrievalHit)
 
 
 def t_position(
@@ -69,7 +57,7 @@ def t_position(
     """k nodes nearest to (x, y, z), nearest first. Yaw plays no part."""
     if not all(math.isfinite(v) for v in (x, y, z)):
         raise ValueError(f"coordinates must be finite, got ({x}, {y}, {z})")
-    return _hits(graph.top_position(np.array((x, y, z), dtype=np.float64), k))
+    return graph.hits(Columns.top_distance, np.array((x, y, z), dtype=np.float64), k, RetrievalHit)
 
 
 def time_components_to_seconds(hh: int, mm: int, ss: int) -> float:
@@ -86,7 +74,7 @@ def time_components_to_seconds(hh: int, mm: int, ss: int) -> float:
 def t_time(graph: MemoryGraph, hh: int, mm: int, ss: int, k: int) -> list[RetrievalHit]:
     """k nodes whose last-seen time is closest to hh:mm:ss, closest first."""
     t = time_components_to_seconds(hh, mm, ss)
-    return _hits(graph.top_time(t, k))
+    return graph.hits(Columns.top_time_gap, t, k, RetrievalHit)
 
 
 @dataclass(frozen=True)
@@ -147,18 +135,14 @@ TOOLS: tuple[Tool, ...] = (
         "top-k scene captions by semantic similarity to a text query",
         _TEXT,
         True,
-        lambda graph, captions, provider, query, k: captions.query_text(
-            provider.embed(query), k
-        ),
+        lambda graph, captions, provider, query, k: captions.query_text(provider.embed(query), k),
     ),
     Tool(
         "captions_position",
         "top-k scene captions recorded nearest to a position",
         _XYZ,
         True,
-        lambda graph, captions, provider, x, y, z, k: captions.query_position(
-            Pose(x, y, z), k
-        ),
+        lambda graph, captions, provider, x, y, z, k: captions.query_position(Pose(x, y, z), k),
     ),
     Tool(
         "captions_time",

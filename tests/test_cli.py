@@ -250,7 +250,7 @@ class TestEvalAndStats:
 
         old = tmp_path / "old.lgrsnap"
         write_v1(load_snapshot(snapshot), old)
-        for snap, version in ((snapshot, "2.1"), (old, "1.0")):
+        for snap, version in ((snapshot, "2.2"), (old, "1.0")):
             code, out, err = run(capsys, "stats", snap)
             assert code == 0, err
             assert json.loads(out)["format_version"] == version
@@ -258,7 +258,7 @@ class TestEvalAndStats:
         code, _, err = run(capsys, "query", old, "route", "--query", "where is the hydrant?",
                            "--update-snapshot")
         assert code == 0, err
-        assert json.loads(run(capsys, "stats", old)[1])["format_version"] == "2.1"
+        assert json.loads(run(capsys, "stats", old)[1])["format_version"] == "2.2"
 
 
 class TestProviderFlag:

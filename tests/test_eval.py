@@ -91,6 +91,25 @@ class TestQAItems:
         with pytest.raises(ValueError, match=":1: bad QA item: "):
             load_qa_items(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"question": "q", "kind": "temporal", "gt_time": "12"}',  # was 12.0
+            '{"question": "q", "kind": "temporal", "gt_time": true}',  # was 1.0
+            '{"question": "q", "kind": "spatial", "gt_pose": {"x": true, "y": 1.0}}',
+            '{"question": "q", "kind": "spatial", "gt_pose": {"x": 1.0, "y": "2"}}',
+            '{"question": 5, "kind": "descriptive"}',  # was the question '5'
+            '{"question": "q", "kind": ["temporal"], "gt_time": 1.0}',
+        ],
+        ids=["time-string", "time-bool", "pose-x-bool", "pose-y-string", "question-number",
+             "kind-list"],
+    )
+    def test_mistyped_field_reports_position(self, tmp_path, line):
+        path = tmp_path / "qa.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=":1: bad QA item: .*must be"):
+            load_qa_items(path)
+
 
 def scripted_router(answers: dict[str, AnswerAction]) -> Router:
     cfg = Config(embedding_dim=DIM)

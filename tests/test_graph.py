@@ -403,5 +403,5 @@ class TestRestore:
                 obs_with([Label(f"b{i}", prov.embed(f"b{i}"))], pose=Pose(100.0 * (i + 1), 0.0))
             )
         assert [n.node_id for n in g.all_nodes()] == [5, 6, 7, 8, 9]
-        assert g.get_node(5) is node
-        assert g.top_semantic(node.embedding, 1)[0][0] is node
+        assert g.get_node(5) == node
+        assert g.top_semantic(node.embedding, 1)[0][0] == node

@@ -152,6 +152,45 @@ class TestReadWrite:
         with pytest.raises(LogParseError, match=r"log\.jsonl:2: .*must be strings"):
             read_log_records(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t", "2.0"),  # was t 2.0
+            ("t", True),
+            ("t", None),
+            ("frame_id", True),  # was the frame 'True'
+            ("frame_id", 1.5),
+            ("frame_id", None),
+            ("frame_id", ["f"]),
+            ("pose", {"x": True, "y": 0.0}),  # was x 1.0
+            ("pose", {"x": 0.0, "y": "1e1"}),  # was y 10.0
+            ("pose", {"x": 0.0, "y": 0.0, "z": False}),
+            ("pose", {"x": 0.0, "y": 0.0, "yaw": "0.5"}),
+        ],
+    )
+    def test_mistyped_number_or_frame_id_reports_line(self, tmp_path, field, value):
+        obj = rec("f1", 1.0).to_json_dict()
+        obj[field] = value
+        path = tmp_path / "log.jsonl"
+        first = json.dumps(rec("f0", 0.0).to_json_dict())
+        path.write_text(first + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(LogParseError, match=r"log\.jsonl:2: bad record: .*must be"):
+            read_log_records(path)
+
+    def test_coercible_record_refused_at_its_line(self, tmp_path):
+        # this line was read as frame '7' at t 2.0, pose (1, 10, 0)
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"frame_id": 7, "t": "2.0", "pose": {"x": true, "y": "1e1"}}\n')
+        with pytest.raises(LogParseError, match=r"log\.jsonl:1: bad record: t must be a number"):
+            read_log_records(path)
+
+    def test_integer_frame_id_reads_as_its_string(self, tmp_path):
+        obj = rec("f0", 0.0).to_json_dict() | {"frame_id": 7}
+        path = tmp_path / "log.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        (record,) = read_log_records(path)
+        assert record.frame_id == "7" and record.t == 0.0
+
 
 class TestSubsample:
     def test_ten_hz_ten_seconds_keeps_six(self):

@@ -325,3 +325,22 @@ def test_pose_position_vector():
     p = Pose(1.0, -2.0, 3.5, 0.1)
     assert np.array_equal(p.position(), np.array([1.0, -2.0, 3.5]))
     assert Pose.from_dict(p.to_dict()) == p
+
+
+@pytest.mark.parametrize(
+    "d, bad",
+    [
+        ({"x": True, "y": 0.0}, "pose.x"),
+        ({"x": 0.0, "y": "1e1"}, "pose.y"),
+        ({"x": 0.0, "y": 0.0, "z": None}, "pose.z"),
+        ({"x": 0.0, "y": 0.0, "yaw": [0.5]}, "pose.yaw"),
+    ],
+)
+def test_pose_from_dict_refuses_what_is_not_a_number(d, bad):
+    with pytest.raises(ValueError, match=rf"{bad} must be a number, got"):
+        Pose.from_dict(d)
+
+
+def test_pose_from_dict_reads_numbers_as_floats():
+    pose = Pose.from_dict({"x": 1, "y": -2.5, "yaw": 3})
+    assert pose == Pose(1.0, -2.5, 0.0, 3.0) and all(type(v) is float for v in vars(pose).values())

@@ -204,7 +204,7 @@ class TestRoundTrip:
         path = tmp_path / "s.lgrsnap"
         write_v2_1(state, path)
         header, meta, blocks = split_v2(path)
-        assert header["version"] == list(FORMAT_VERSION) == [2, 1]
+        assert header["version"] == [2, 1]
         assert header["payload_sha256"] == hashlib.sha256(meta + blocks).hexdigest()
         payload = json.loads(meta)
         assert "embedding" not in payload["graph"]["nodes"][0]
@@ -464,7 +464,7 @@ def test_committed_2_1_file_answers_as_before(tmp_path, capsys):
             assert cli_stdout(capsys, argv) == case["stdout"], argv
 
 
-@pytest.mark.parametrize("version", ["2.1", "2.0", "1.0"])
+@pytest.mark.parametrize("version", ["2.2", "2.1", "2.0", "1.0"])
 def test_load_allocates_one_embedding_block(tmp_path, version):
     # numpy reports its buffers to tracemalloc; a second copy of the
     # embeddings (a column filled from the file block, or items keeping
@@ -481,7 +481,7 @@ def test_load_allocates_one_embedding_block(tmp_path, version):
         cfg, [CaptionRecord(i + 1, f"c{i}", emb[n + i], Pose(1.0, 2.0), float(i)) for i in range(n)]
     )
     path = tmp_path / "s.lgrsnap"
-    {"2.1": write_v2_1, "2.0": write_v2_0, "1.0": write_v1}[version](state, path)
+    write_as(version, state, path)
     del state, emb
     tracemalloc.start()
     try:
@@ -772,3 +772,176 @@ class TestProviderSpec:
 def test_session_state_new_checks_dimensions():
     with pytest.raises(ValueError, match="dimension"):
         SessionState.new(Config(embedding_dim=DIM), HashProvider(0, DIM + 1))
+
+
+# ----------------------------------------------------------------------
+# format 2.2: row columns in binary blocks
+# ----------------------------------------------------------------------
+
+STORES = (("graph", MemoryGraph), ("captions", CaptionStore))
+# each store's item fields as they map to columns
+ITEM_COLUMNS = {
+    "graph": {"node_id": "ids", "label_text": "text", "last_seen": "time",
+              "first_seen": "first_seen", "obs_count": "count"},
+    "captions": {"record_id": "ids", "text": "text", "time": "time"},
+}
+
+
+def write_as(version: str, state: SessionState, path) -> None:
+    {"2.2": save_snapshot, "2.1": write_v2_1, "2.0": write_v2_0, "1.0": write_v1}[version](state, path)
+
+
+def split_v2_2(path) -> tuple[dict, dict, dict, bytes]:
+    """(header, meta, each store's columns by (section, name), vector
+    blocks) of a 2.2 file."""
+    header, meta, blocks = split_v2(path)
+    payload = json.loads(meta)
+    cols, at = {}, 0
+    for section, store in STORES:
+        n = payload[section]["rows"]
+        for name in (*store.column_names(), "uid"):
+            dtype = "<i8" if name in ("ids", "text", "count", "uid") else "<f8"
+            cols[section, name] = np.frombuffer(blocks[at : at + 8 * n], dtype).copy()
+            at += 8 * n
+    return header, payload, cols, blocks[at:]
+
+
+def write_v2_2(path, header: dict, payload: dict, cols: dict, vectors: bytes) -> None:
+    """Write a 2.2 file from ``split_v2_2``'s parts, with its checksum."""
+    meta = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    columns = b"".join(c.tobytes() for c in cols.values())
+    write_v2(path, dict(header, meta_bytes=len(meta)), meta, columns + vectors)
+
+
+def rewrite_meta(path, edit) -> None:
+    """Apply ``edit`` to a file's meta JSON (its whole payload for 1.x) and
+    write it back with a correct checksum."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    if json.loads(header)["version"][0] < 2:
+        payload = json.loads(payload)
+        edit(payload)
+        return write_framed(path, payload)
+    header, meta, blocks = split_v2(path)
+    payload = json.loads(meta)
+    edit(payload)
+    meta = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    write_v2(path, dict(header, meta_bytes=len(meta)), meta, blocks)
+
+
+class TestFormat22:
+    def test_layout(self, tmp_path):
+        state = repeating_state()
+        state.graph = random_graph(12, state.cfg, seed=4, duplicate_every=3)  # counts above 1
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(state, path)
+        header, payload, cols, vectors = split_v2_2(path)
+        assert header["version"] == list(FORMAT_VERSION) == [2, 2]
+        distinct = []
+        for section, store in (("graph", state.graph), ("captions", state.captions)):
+            items, meta = store._all(), payload[section]
+            assert sorted(meta) == ["next_id", "rows", "texts", "vectors"]
+            assert (meta["next_id"], meta["rows"]) == (store.next_id, len(items))
+            text_field = next(f for f, c in ITEM_COLUMNS[section].items() if c == "text")
+            # each text once, in order of first appearance
+            texts = [getattr(it, text_field) for it in items]
+            assert meta["texts"] == list(dict.fromkeys(texts))
+            for field, column in ITEM_COLUMNS[section].items():
+                got = cols[section, column].tolist()
+                if column == "text":
+                    got = [meta["texts"][i] for i in got]
+                assert got == [getattr(it, field) for it in items], field
+            for axis in ("x", "y", "z", "yaw"):
+                assert cols[section, axis].tolist() == [getattr(it.pose, axis) for it in items]
+            cols_ = store._cols
+            uid = np.arange(cols_.size) if cols_.uid is None else cols_.uid[: cols_.size]
+            assert cols[section, "uid"].tolist() == uid.tolist()
+            assert meta["vectors"] == store.vector_count()
+            distinct += [b.tobytes() for b in cols_.blocks()]
+        assert vectors == b"".join(distinct)
+
+    def test_round_trip_re_saves_byte_identically(self, tmp_path):
+        state = build_state()
+        path, again = tmp_path / "s.lgrsnap", tmp_path / "again.lgrsnap"
+        save_snapshot(state, path)
+        loaded = load_snapshot(path)
+        for store in ("graph", "captions"):
+            assert items_of(getattr(loaded, store)) == items_of(getattr(state, store))
+        assert query_fingerprint(loaded) == query_fingerprint(state)
+        save_snapshot(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ("count below 1", "obs_count must be >= 1, got 0"),
+            ("ids out of order", "node ids must be ascending and unique"),
+            ("repeated id", "node ids must be ascending and unique"),
+            ("id at next_id", "next_id 7 must be >= 1 and above the largest id 7"),
+            ("text index past the table", r"caption record text indexes must lie in \[0, 3\)"),
+            ("negative text index", r"node text indexes must lie in \[0, 7\)"),
+            ("text not a string", "node texts must be a list of strings"),
+            ("rows not an integer", "rows must be an integer"),
+        ],
+    )
+    def test_bad_row_columns_refused(self, tmp_path, bad, match):
+        path = saved(tmp_path)  # nodes 1..7, three caption records
+        header, payload, cols, vectors = split_v2_2(path)
+        ids = cols["graph", "ids"]
+        if bad == "count below 1":
+            cols["graph", "count"][2] = 0
+        elif bad == "ids out of order":
+            ids[[1, 2]] = ids[[2, 1]]
+        elif bad == "repeated id":
+            ids[2] = ids[1]
+        elif bad == "id at next_id":
+            payload["graph"]["next_id"] = int(ids[-1])
+        elif bad == "text index past the table":
+            cols["captions", "text"][0] = len(payload["captions"]["texts"])
+        elif bad == "negative text index":
+            cols["graph", "text"][1] = -1
+        elif bad == "text not a string":
+            payload["graph"]["texts"][0] = 5
+        else:
+            payload["graph"]["rows"] = 7.0
+        write_v2_2(path, header, payload, cols, vectors)
+        with pytest.raises(SnapshotError, match=match):
+            load_snapshot(path)
+
+
+@pytest.mark.parametrize("version", ["2.1", "2.0", "1.0"])
+@pytest.mark.parametrize(
+    "count, match",
+    [
+        (2.5, "obs_count must be an integer, got 2.5"),  # was read as 2
+        (True, "obs_count must be an integer, got True"),
+        ("2", "obs_count must be an integer, got '2'"),
+        (0, "obs_count must be >= 1, got 0"),
+        (-3, "obs_count must be >= 1, got -3"),
+    ],
+)
+def test_older_formats_refuse_a_bad_obs_count(tmp_path, version, count, match):
+    path = tmp_path / "s.lgrsnap"
+    write_as(version, build_state(n_nodes=5, n_captions=3), path)
+    rewrite_meta(path, lambda p: p["graph"]["nodes"][1].update(obs_count=count))
+    with pytest.raises(SnapshotError, match=match):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("version", ["2.1", "1.0"])
+@pytest.mark.parametrize(
+    "key, field, value, match",
+    [
+        ("nodes", "node_id", "2", "node_id must be an integer"),
+        ("nodes", "label_text", 5, "every label_text must be a string"),
+        ("nodes", "first_seen", "1.0", "first_seen must be a number"),
+        ("records", "time", True, "time must be a number"),
+        ("records", "pose", {"x": "1", "y": 0.0}, "pose.x must be a number"),
+    ],
+)
+def test_older_formats_refuse_mistyped_fields(tmp_path, version, key, field, value, match):
+    path = tmp_path / "s.lgrsnap"
+    write_as(version, build_state(n_nodes=5, n_captions=3), path)
+    section = "graph" if key == "nodes" else "captions"
+    rewrite_meta(path, lambda p: p[section][key][0].update({field: value}))
+    with pytest.raises(SnapshotError, match=match):
+        load_snapshot(path)
