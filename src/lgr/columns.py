@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
+from itertools import count
 from dataclasses import fields as dataclass_fields
 from operator import attrgetter
 from typing import Callable, Iterable
@@ -534,9 +535,11 @@ class RowStore:
         elif next_id < 1 or next_id <= top:
             raise ValueError(f"next_id {next_id} must be >= 1 and above the largest id {top}")
         if table is None:  # intern the texts, in row order
-            table = list(dict.fromkeys(values["text"]))
-            index = dict(zip(table, range(len(table))))
+            index = dict(zip(dict.fromkeys(values["text"]), count()))
+            table = list(index)
             values["text"] = np.fromiter(map(index.__getitem__, values["text"]), np.int64, n)
+        else:
+            index = dict(zip(table, count()))
         store = cls(cfg)
         store._next_id = next_id
         cols = store._cols = Columns(cfg.embedding_dim, n + max(_GROW, n), cls.column_names())
@@ -546,6 +549,6 @@ class RowStore:
             cols.uid[:n] = uid
         for name in cols.names:
             getattr(cols, name)[:n] = values[name]
-        cols.texts, cols._text_ids = table, dict(zip(table, range(len(table))))
+        cols.texts, cols._text_ids = table, index
         cols.size = n
         return store

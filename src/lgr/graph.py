@@ -50,8 +50,7 @@ class IngestReport:
 
 
 def _running_mean(c: int, xyz, p: Pose) -> tuple:
-    """The mean position of ``c`` sightings whose mean is ``xyz`` and one
-    more at ``p``."""
+    """The mean position of ``c`` sightings averaging ``xyz`` and one at ``p``."""
     return tuple((c * a + b) / (c + 1) for a, b in zip(xyz, (p.x, p.y, p.z)))
 
 

@@ -133,9 +133,8 @@ def _fields(obj: dict) -> tuple[str, float, Pose, tuple[str, ...], str, Optional
     """Check and convert a record's fields other than its vectors."""
     try:
         frame_id = obj["frame_id"]
-        if isinstance(frame_id, bool) or not isinstance(frame_id, (str, int)):
+        if type(frame_id) not in (str, int):  # a bool is not an int here
             raise TypeError(f"frame_id must be a string or an integer, got {frame_id!r}")
-        frame_id = str(frame_id)
         t = float(json_number(obj["t"], "t"))
         pose = Pose.from_dict(obj["pose"])
         labels = tuple(_list_field(obj, "labels", []))
@@ -148,7 +147,7 @@ def _fields(obj: dict) -> tuple[str, float, Pose, tuple[str, ...], str, Optional
         raise LogParseError(f"bad record: {exc}") from None
     if encoded is not None and len(encoded) != len(labels):
         raise LogParseError(f"{len(encoded)} label_embeddings for {len(labels)} labels")
-    return frame_id, t, pose, labels, caption, encoded
+    return str(frame_id), t, pose, labels, caption, encoded
 
 
 def _check_period(period: float) -> None:

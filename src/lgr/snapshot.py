@@ -123,10 +123,9 @@ def _entry_columns(store: type[RowStore], entries: list) -> dict:
     values = {"text": [d[fields[1]] for d in entries]}
     if not all(type(t) is str for t in values["text"]):
         raise ValueError(f"every {fields[1]} must be a string")
-    for name, col in ((fields[0], "ids"), *zip(fields[4:], store._REST)):
-        dtype = column_dtype(col)
-        kind = Integral if dtype == np.int64 else Real
-        values[col] = np.array([json_number(d[name], name, kind) for d in entries], dtype)
+    for f, col in ((fields[0], "ids"), *zip(fields[4:], store._REST)):
+        kind = Integral if column_dtype(col) == np.int64 else Real
+        values[col] = np.array([json_number(d[f], f, kind) for d in entries], column_dtype(col))
     poses = [Pose.from_dict(d["pose"]) for d in entries]
     values.update({c: np.array([getattr(p, c) for p in poses]) for c in ("x", "y", "z", "yaw")})
     return values
