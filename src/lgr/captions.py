@@ -8,24 +8,24 @@ admit an ANN index, but approximate retrieval is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .columns import Columns, Item, RowStore
+from .columns import ROWS, Columns, RowStore
 from .model import Observation, Pose, ensure_valid
 
 
-@dataclass(frozen=True, eq=False)
-class CaptionRecord(Item):
+@dataclass(frozen=True)
+class CaptionRecord:
     """One scene description. The store keeps its records only in columns
     and builds a record when one is asked for: its ``embedding`` is then a
-    read-only view of the stored vector. Records with equal fields are
-    equal."""
+    read-only view of the stored vector. Records compare by every field
+    but the embedding."""
 
     record_id: int
     text: str
-    embedding: np.ndarray
+    embedding: np.ndarray = field(compare=False)
     pose: Pose
     time: float
 
@@ -49,7 +49,7 @@ class CaptionStore(RowStore):
     """Flat scan store with the same writer/reader contract as the graph."""
 
     _ITEM, _ID, _WHAT = CaptionRecord, "record_id", "caption record"
-    _REST = ("time",)
+    _REST, NAMES = ("time",), ROWS
 
     record_count = RowStore.__len__
     get_record = RowStore._get

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from itertools import count
+from itertools import repeat
 from dataclasses import fields as dataclass_fields
 from operator import attrgetter
 from typing import Callable, Iterable
@@ -362,32 +362,35 @@ def _column(objs: list, name: str, dtype) -> np.ndarray:
     return np.fromiter(map(attrgetter(name), objs), dtype, len(objs))
 
 
+def _intern(texts: Iterable[str], n: int) -> tuple[np.ndarray, dict[str, int]]:
+    """Each of ``n`` texts' number in the returned index of the distinct
+    texts, numbered in order of first appearance, in one pass."""
+    index: dict[str, int] = {}
+    # len(index) is taken as each text arrives: a new text gets the next number
+    numbers = map(index.setdefault, texts, map(len, repeat(index)))
+    return np.fromiter(numbers, np.int64, n), index
+
+
 def _stack(items: list, dim: int, what: str) -> np.ndarray:
-    """One (n, dim) float32 copy of the items' embeddings, after checking
-    each distinct shape, then each distinct dtype, once."""
-    for shape in set(map(attrgetter("embedding.shape"), items)):
-        if shape != (dim,):
-            raise _dim_error(dim, shape)
-    for dtype in set(map(attrgetter("embedding.dtype"), items)):
-        if dtype != _F32:
-            raise ValueError(f"{what} embeddings must be float32, got {dtype}")
-    block = np.empty((len(items), dim), np.float32)
-    if items:  # one copy, through a flat view of the block
-        np.concatenate(list(map(attrgetter("embedding"), items)), out=block.reshape(-1))
-    return block
-
-
-class Item:
-    """Base of the items a store builds from its rows: items are equal
-    when their fields are, embeddings element by element."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        pairs = zip(vars(self).values(), vars(other).values())
-        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+    """One (n, dim) float32 copy of the items' embeddings, which must all
+    have length ``dim`` and cast nothing. Only when that fails are the
+    distinct shapes, then the distinct dtypes, checked for the error."""
+    embs = list(map(attrgetter("embedding"), items))
+    block = np.empty((len(embs), dim), np.float32)
+    try:
+        if set(map(len, embs)) - {dim}:
+            raise ValueError("a length other than dim")
+        if embs:  # one copy, through a flat view of the block
+            np.concatenate(embs, out=block.reshape(-1), casting="no")
+        return block
+    except (TypeError, ValueError):  # report the first wrong shape, then dtype
+        for shape in set(map(attrgetter("shape"), embs)):
+            if shape != (dim,):
+                raise _dim_error(dim, shape) from None
+        for dtype in set(map(attrgetter("dtype"), embs)):
+            if dtype != _F32:
+                raise ValueError(f"{what} embeddings must be float32, got {dtype}") from None
+        raise
 
 
 class RowStore:
@@ -404,6 +407,7 @@ class RowStore:
 
     _ITEM: type
     _REST: tuple[str, ...]
+    NAMES: tuple[str, ...]  # its row columns: every store's, then its own
     _ID: str
     _WHAT: str
 
@@ -411,12 +415,7 @@ class RowStore:
         self._cfg = cfg
         self._lock = threading.Lock()
         self._next_id = 1
-        self._cols = Columns(cfg.embedding_dim, 0, self.column_names())
-
-    @classmethod
-    def column_names(cls) -> tuple[str, ...]:
-        """The store's row columns: every store's, then its own."""
-        return ROWS + tuple(c for c in cls._REST if c not in ROWS)
+        self._cols = Columns(cfg.embedding_dim, 0, self.NAMES)
 
     @property
     def cfg(self) -> Config:
@@ -501,18 +500,19 @@ class RowStore:
         values = {c: _column(poses, c, np.float64) for c in ("x", "y", "z", "yaw")}
         for f, c in ((cls._ID, "ids"), *zip(fields[4:], cls._REST)):
             values[c] = _column(items, f, column_dtype(c))
-        values["text"] = list(map(attrgetter(fields[1]), items))
-        return cls._restore(cfg, values, None, next_id, block)
+        values["text"], index = _intern(map(attrgetter(fields[1]), items), len(items))
+        return cls._restore(cfg, values, index, next_id, block)
 
     @classmethod
-    def _restore(cls, cfg: Config, values: dict, table, next_id: int | None, block, uid=None):
+    def _restore(cls, cfg: Config, values: dict, index, next_id: int | None, block, uid=None):
         """A store whose row columns are ``values`` by name, which adopts
         ``block`` (a read-only (m, dim) float32 array) as its first chunk.
         Row i holds block row i, or with ``uid`` block row ``uid[i]``.
-        ``values["text"]`` indexes ``table``, or with ``table`` None holds
-        each row's text, which is interned. Rows out of id order are
-        sorted, with ``uid``, or with no ``uid`` with one sorted copy of
-        the block. The columns get as much headroom as rows."""
+        ``values["text"]`` holds each row's number in ``index`` (each
+        distinct text's number, in order), or with ``index`` None the row's
+        text, which is interned. Rows out of id order are sorted, with
+        ``uid``, or with no ``uid`` with one sorted copy of the block. The
+        columns get as much headroom as rows."""
         ids = values["ids"]
         if not np.all(ids[1:] > ids[:-1]):
             order = np.argsort(ids, kind="stable")
@@ -534,21 +534,17 @@ class RowStore:
             next_id = top + 1
         elif next_id < 1 or next_id <= top:
             raise ValueError(f"next_id {next_id} must be >= 1 and above the largest id {top}")
-        if table is None:  # intern the texts, in row order
-            index = dict(zip(dict.fromkeys(values["text"]), count()))
-            table = list(index)
-            values["text"] = np.fromiter(map(index.__getitem__, values["text"]), np.int64, n)
-        else:
-            index = dict(zip(table, count()))
+        if index is None:
+            values["text"], index = _intern(values["text"], n)
         store = cls(cfg)
         store._next_id = next_id
-        cols = store._cols = Columns(cfg.embedding_dim, n + max(_GROW, n), cls.column_names())
+        cols = store._cols = Columns(cfg.embedding_dim, n + max(_GROW, n), cls.NAMES)
         cols.adopt(block)
         if uid is not None:
             cols.uid = np.empty_like(cols.ids)
             cols.uid[:n] = uid
         for name in cols.names:
             getattr(cols, name)[:n] = values[name]
-        cols.texts, cols._text_ids = table, index
+        cols.texts, cols._text_ids = list(index), index
         cols.size = n
         return store

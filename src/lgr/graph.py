@@ -11,29 +11,29 @@ memory is missing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .columns import Columns, Item, RowStore
+from .columns import ROWS, Columns, RowStore
 from .model import Label, Observation, Pose, ensure_valid
 
 
-@dataclass(frozen=True, eq=False)
-class EntityNode(Item):
+@dataclass(frozen=True)
+class EntityNode:
     """One remembered entity.
 
     ``pose.x/y/z`` is the arithmetic mean of every matched sighting
     position; ``pose.yaw`` and ``embedding`` are fixed at creation. The
     graph keeps its nodes only in columns and builds a node when one is
     asked for: its ``embedding`` is then a read-only view of the stored
-    vector. Nodes with equal fields are equal.
+    vector. Nodes compare by every field but the embedding.
     """
 
     node_id: int
     label_text: str
-    embedding: np.ndarray
+    embedding: np.ndarray = field(compare=False)
     pose: Pose
     first_seen: float
     last_seen: float
@@ -85,6 +85,7 @@ class MemoryGraph(RowStore):
 
     _ITEM, _ID, _WHAT = EntityNode, "node_id", "node"
     _REST = ("first_seen", "time", "count")  # first_seen, last_seen, obs_count
+    NAMES = ROWS + ("first_seen", "count")
 
     node_count = RowStore.__len__
     get_node = RowStore._get

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import count
 from numbers import Integral, Real
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
@@ -133,17 +134,19 @@ def _entry_columns(store: type[RowStore], entries: list) -> dict:
 
 def _check_rows(values: dict, table: list | None, what: str) -> None:
     """Refuse an obs_count below 1 and, in a 2.2 file (with ``table``),
-    ids that do not ascend or text indexes outside the text table."""
-    count = values.get("count")
-    if count is not None and count.size and count.min() < 1:
-        raise ValueError(f"obs_count must be >= 1, got {count.min()}")
+    ids that do not ascend, a repeated text or a text index outside the
+    table."""
+    counts = values.get("count")
+    if counts is not None and counts.size and counts.min() < 1:
+        raise ValueError(f"obs_count must be >= 1, got {counts.min()}")
     if table is None:
         return
     ids, text = values["ids"], values["text"]
     if not np.all(ids[1:] > ids[:-1]):
         raise ValueError(f"{what} ids must be ascending and unique")
-    if type(table) is not list or not all(type(t) is str for t in table):
-        raise ValueError(f"{what} texts must be a list of strings")
+    strings = type(table) is list and all(type(t) is str for t in table)
+    if not strings or len(set(table)) < len(table):
+        raise ValueError(f"{what} texts must be a list of distinct strings")
     if text.size and (text.min() < 0 or text.max() >= len(table)):
         raise ValueError(f"{what} text indexes must lie in [0, {len(table)})")
 
@@ -241,12 +244,10 @@ def _read_header(line: bytes, path: Path) -> tuple[list[int], int, int, str]:
 
 def _split_blocks(blocks: np.ndarray, dim: int, counts: list, vectors: list | None, names, path):
     """Per store (graph, then records): its row columns by name, its
-    read-only float32 vector block and its ``uid`` column, read from a
-    payload's binary part for stores of ``counts`` rows and ``vectors``
-    stored vectors (one per row in a 2.0 file, ``vectors`` None). The
-    binary part holds each store's columns ``names`` (8 bytes per row
-    each, ``uid`` among them from 2.1 on), then each store's vectors. The
-    uid column is None where row i holds vector i."""
+    read-only float32 vector block and its ``uid`` column (None where row
+    i holds vector i), read from a binary part that holds each store's
+    columns ``names``, 8 bytes per row each, then each store's vectors:
+    ``vectors`` of them, or one per row in a 2.0 file (``vectors`` None)."""
     col_bytes = sum(n * 8 * len(cols) for n, cols in zip(counts, names))
     vectors = vectors or counts
     expected = col_bytes + sum(vectors) * dim * 4
@@ -337,7 +338,7 @@ def load_snapshot(path: str | Path) -> SessionState:
                 vectors = [json_number(s["vectors"], "vectors", Integral) for s in sections]
             if version >= [2, 2]:
                 counts = [json_number(s["rows"], "rows", Integral) for s in sections]
-                names = [(*store.column_names(), "uid") for store, _ in kinds]
+                names = [(*store.NAMES, "uid") for store, _ in kinds]
             else:
                 counts = [len(s[key]) for s, (_, key) in zip(sections, kinds)]
                 names = [("uid",) if vectors else ()] * 2
@@ -348,8 +349,9 @@ def load_snapshot(path: str | Path) -> SessionState:
             if table is None:
                 values.update(_entry_columns(store, s[key]))
             _check_rows(values, table, store._WHAT)
+            index = None if table is None else dict(zip(table, count()))
             next_id = json_number(s["next_id"], "next_id", Integral)
-            stores.append(store._restore(cfg, values, table, next_id, block, uid))
+            stores.append(store._restore(cfg, values, index, next_id, block, uid))
         graph, captions = stores
         stats = SessionStats.from_dict(payload.get("stats", {}))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -3,9 +3,10 @@ load, and restore, interleaved, on stores whose appended vectors span
 several small chunks and repeat (so rows share them).
 
 Every tool is called through ``TOOLS`` and checked against the full-scan
-``rank_*`` oracles over the items the stores return. The caption store is
-append-only, so a plain list models it exactly; the graph is checked by
-its invariants and by surviving each save/load and restore unchanged.
+``rank_*`` oracles over the items the stores return, and the ingest gate
+against ``find_matches_naive``. The caption store is append-only, so a
+plain list models it exactly; the graph is checked by its invariants and
+by surviving each save/load and restore unchanged.
 """
 
 from __future__ import annotations
@@ -90,9 +91,22 @@ class Session(RuleBasedStateMachine):
             caption=None if caption is None else Caption(caption, self.provider.embed(caption)),
         )
         self.frames += 1
-        before = self.state.graph.next_id
+        graph = self.state.graph
+        nodes = [(n.node_id, n.embedding, (n.pose.x, n.pose.y, n.pose.z)) for n in graph.all_nodes()]
+        cfg, matched = self.cfg, set()
+        for label in obs.labels:  # both gates against a full scan, before the frame
+            want = oracles.find_matches_naive(
+                nodes, label.embedding, (x, y, 0.0), cfg.delta_e, cfg.delta_p
+            )
+            assert graph.find_matches(label.embedding, pose) == want
+            matched.update(want)
+        counts = sum(n.obs_count for n in graph.all_nodes())
+        before = graph.next_id
         report = self.state.ingest(obs)
-        assert report.created == tuple(range(before, self.state.graph.next_id))
+        assert report.created == tuple(range(before, graph.next_id))
+        assert set(report.updated) <= matched
+        # each label either creates a node or adds one sighting to one
+        assert sum(n.obs_count for n in graph.all_nodes()) == counts + len(labels)
         if caption is not None:
             rid = self.state.captions.next_id - 1
             vector = self.provider.embed(caption).astype(np.float32).tobytes()

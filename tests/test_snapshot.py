@@ -799,7 +799,7 @@ def split_v2_2(path) -> tuple[dict, dict, dict, bytes]:
     cols, at = {}, 0
     for section, store in STORES:
         n = payload[section]["rows"]
-        for name in (*store.column_names(), "uid"):
+        for name in (*store.NAMES, "uid"):
             dtype = "<i8" if name in ("ids", "text", "count", "uid") else "<f8"
             cols[section, name] = np.frombuffer(blocks[at : at + 8 * n], dtype).copy()
             at += 8 * n
@@ -879,7 +879,8 @@ class TestFormat22:
             ("id at next_id", "next_id 7 must be >= 1 and above the largest id 7"),
             ("text index past the table", r"caption record text indexes must lie in \[0, 3\)"),
             ("negative text index", r"node text indexes must lie in \[0, 7\)"),
-            ("text not a string", "node texts must be a list of strings"),
+            ("text not a string", "node texts must be a list of distinct strings"),
+            ("repeated text", "caption record texts must be a list of distinct strings"),
             ("rows not an integer", "rows must be an integer"),
         ],
     )
@@ -901,6 +902,8 @@ class TestFormat22:
             cols["graph", "text"][1] = -1
         elif bad == "text not a string":
             payload["graph"]["texts"][0] = 5
+        elif bad == "repeated text":
+            payload["captions"]["texts"][1] = payload["captions"]["texts"][0]
         else:
             payload["graph"]["rows"] = 7.0
         write_v2_2(path, header, payload, cols, vectors)
