@@ -133,7 +133,7 @@ class Columns:
     or inf once a vector is not finite); the cosine filter's bound uses it.
     """
 
-    def __init__(self, dim: int, capacity: int = 0, names: tuple[str, ...] = ROWS):
+    def __init__(self, dim: int, capacity: int, names: tuple[str, ...]):
         self.size = 0
         self.distinct = 0
         self.dim = dim
@@ -407,7 +407,7 @@ class RowStore:
 
     _ITEM: type
     _REST: tuple[str, ...]
-    NAMES: tuple[str, ...]  # its row columns: every store's, then its own
+    _NAMES: tuple[str, ...]  # its row columns: every store's, then its own
     _ID: str
     _WHAT: str
 
@@ -415,7 +415,7 @@ class RowStore:
         self._cfg = cfg
         self._lock = threading.Lock()
         self._next_id = 1
-        self._cols = Columns(cfg.embedding_dim, 0, self.NAMES)
+        self._cols = Columns(cfg.embedding_dim, 0, self._NAMES)
 
     @property
     def cfg(self) -> Config:
@@ -538,7 +538,7 @@ class RowStore:
             values["text"], index = _intern(values["text"], n)
         store = cls(cfg)
         store._next_id = next_id
-        cols = store._cols = Columns(cfg.embedding_dim, n + max(_GROW, n), cls.NAMES)
+        cols = store._cols = Columns(cfg.embedding_dim, n + max(_GROW, n), cls._NAMES)
         cols.adopt(block)
         if uid is not None:
             cols.uid = np.empty_like(cols.ids)

@@ -85,7 +85,7 @@ class MemoryGraph(RowStore):
 
     _ITEM, _ID, _WHAT = EntityNode, "node_id", "node"
     _REST = ("first_seen", "time", "count")  # first_seen, last_seen, obs_count
-    NAMES = ROWS + ("first_seen", "count")
+    _NAMES = ROWS + ("first_seen", "count")
 
     node_count = RowStore.__len__
     get_node = RowStore._get

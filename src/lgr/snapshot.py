@@ -338,7 +338,7 @@ def load_snapshot(path: str | Path) -> SessionState:
                 vectors = [json_number(s["vectors"], "vectors", Integral) for s in sections]
             if version >= [2, 2]:
                 counts = [json_number(s["rows"], "rows", Integral) for s in sections]
-                names = [(*store.NAMES, "uid") for store, _ in kinds]
+                names = [(*store._NAMES, "uid") for store, _ in kinds]
             else:
                 counts = [len(s[key]) for s, (_, key) in zip(sections, kinds)]
                 names = [("uid",) if vectors else ()] * 2

@@ -799,7 +799,7 @@ def split_v2_2(path) -> tuple[dict, dict, dict, bytes]:
     cols, at = {}, 0
     for section, store in STORES:
         n = payload[section]["rows"]
-        for name in (*store.NAMES, "uid"):
+        for name in (*store._NAMES, "uid"):
             dtype = "<i8" if name in ("ids", "text", "count", "uid") else "<f8"
             cols[section, name] = np.frombuffer(blocks[at : at + 8 * n], dtype).copy()
             at += 8 * n
