@@ -11,6 +11,7 @@ by surviving each save/load and restore unchanged.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -67,6 +68,7 @@ class Session(RuleBasedStateMachine):
         self.t = 0.0
         self.frames = 0
         self.captions: list[tuple] = []  # (id, text, pose, time, vector bytes)
+        self.sightings: dict[int, list] = {}  # node id: (x, y, z, time, yaw) of each
 
     def teardown(self):
         self._chunk.stop()
@@ -105,6 +107,10 @@ class Session(RuleBasedStateMachine):
         report = self.state.ingest(obs)
         assert report.created == tuple(range(before, graph.next_id))
         assert set(report.updated) <= matched
+        for nid in report.created:
+            self.sightings[nid] = []
+        for nid in report.created + report.updated:
+            self.sightings[nid].append((x, y, 0.0, self.t, yaw))
         # each label either creates a node or adds one sighting to one
         assert sum(n.obs_count for n in graph.all_nodes()) == counts + len(labels)
         if caption is not None:
@@ -180,6 +186,17 @@ class Session(RuleBasedStateMachine):
             for r in self.state.captions.all_records()
         ]
         assert got == self.captions
+
+    @invariant()
+    def nodes_match_their_sightings(self):
+        # position is the mean of every sighting; count, times and yaw follow them
+        for n in self.state.graph.all_nodes():
+            seen = self.sightings[n.node_id]
+            assert n.obs_count == len(seen)
+            assert (n.first_seen, n.last_seen, n.pose.yaw) == (seen[0][3], seen[-1][3], seen[0][4])
+            for axis, got in enumerate((n.pose.x, n.pose.y, n.pose.z)):
+                want = sum(s[axis] for s in seen) / len(seen)
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (got, want)
 
     @invariant()
     def stores_are_consistent(self):
