@@ -433,16 +433,16 @@ class RowStore:
     def _get(self, id_: int):
         with self._lock:
             try:
-                return self._items(np.array([self._cols.row_of(id_)]))[0]
+                return self._build(np.array([self._cols.row_of(id_)]))[0]
             except KeyError:
                 raise KeyError(f"no such {self._WHAT}: {id_}") from None
 
     def _all(self) -> list:
         """Items in creation order (ascending id)."""
         with self._lock:
-            return self._items(np.arange(self._cols.size))
+            return self._build(np.arange(self._cols.size))
 
-    def _items(self, rows: np.ndarray) -> list:
+    def _build(self, rows: np.ndarray) -> list:
         """Items built from ``rows`` (call with the lock held)."""
         cols = self._cols
         ids, text, x, y, z, yaw, *rest = cols.gather(rows, _HEAD + self._REST)
@@ -471,7 +471,7 @@ class RowStore:
         in its order."""
         with self._lock:
             rows, s = rank(self._cols, arg, k)
-            return list(zip(self._items(rows), s.tolist()))
+            return list(zip(self._build(rows), s.tolist()))
 
     def hits(self, rank: Callable, arg, k: int, hit: type) -> list:
         """``hit(id, text, pose, time, score)`` of each of the k rows
