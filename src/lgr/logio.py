@@ -15,6 +15,11 @@ are absent the configured provider embeds the text on load. Blank lines
 and ``#`` comment lines are ignored. Caption text is producer metadata:
 the engine enforces only non-emptiness, any generation-length cap is the
 producer's business.
+
+One parse decodes each distinct vector text once: every kept record
+that carries the same text shares one read-only array, so a loaded log
+holds as many arrays as the kept frames have distinct vectors, not one
+per field.
 """
 
 from __future__ import annotations
@@ -143,7 +148,7 @@ def _fields(obj: dict) -> tuple[str, float, Pose, tuple[str, ...], str, Optional
             if not isinstance(text, str):
                 raise TypeError(f"labels and caption must be strings, got {type(text).__name__}")
         encoded = _list_field(obj, "label_embeddings", None)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise LogParseError(f"bad record: {exc}") from None
     if encoded is not None and len(encoded) != len(labels):
         raise LogParseError(f"{len(encoded)} label_embeddings for {len(labels)} labels")
@@ -168,13 +173,30 @@ def _iter_log_records(
 
     With ``period`` set, yield only the records :func:`subsample` would
     keep. Every line is checked the same either way, but the vectors of a
-    dropped line are only checked, never decoded.
+    dropped line are only checked, never decoded. Each distinct vector
+    string is decoded once per call, and the records that carry it share
+    the one read-only array; a dropped line skips the check of a string
+    already decoded.
     """
     if period is not None:
         _check_period(period)
     path = Path(path)
     prev_t: Optional[float] = None
     last_kept: Optional[float] = None
+    seen: dict[str, np.ndarray] = {}  # vector text -> its array, for this parse only
+
+    def decode(data: object) -> np.ndarray:
+        if type(data) is not str:  # unhashable or never a vector: decode_vector raises
+            return decode_vector(data)
+        vec = seen.get(data)
+        if vec is None:
+            vec = seen[data] = decode_vector(data)
+        return vec
+
+    def check(data: object) -> None:
+        if type(data) is not str or data not in seen:
+            _check_vector(data)
+
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -184,7 +206,7 @@ def _iter_log_records(
                 obj = json.loads(line)
                 frame_id, t, pose, labels, caption, encoded = _fields(obj)
                 keep = period is None or _keeps(last_kept, t, period)
-                vector = decode_vector if keep else _check_vector
+                vector = decode if keep else check
                 label_embeddings = None if encoded is None else tuple(map(vector, encoded))
                 caption_embedding = obj.get("caption_embedding")
                 caption_embedding = vector(caption_embedding) if caption_embedding else None

@@ -20,6 +20,8 @@ EMBEDDING_NORM_TOL = 1e-6
 def json_number(value, what: str, kind: type = Real):
     """``value`` when it is a number of ``kind`` (``Integral`` for an
     integer) and not a bool, as a JSON number is; else ValueError."""
+    if type(value) is int or type(value) is float and kind is Real:
+        return value  # what json.loads gives, without the ABC checks
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is Integral else "a number"
         raise ValueError(f"{what} must be {noun}, got {value!r}")
@@ -62,9 +64,13 @@ class Pose:
     @classmethod
     def from_dict(cls, d: dict) -> "Pose":
         """A pose from its JSON object; each field must be a JSON number."""
-        values = d["x"], d["y"], d.get("z", 0.0), d.get("yaw", 0.0)
-        names = ("pose.x", "pose.y", "pose.z", "pose.yaw")
-        return cls(*(float(json_number(v, name)) for v, name in zip(values, names)))
+        x, y, z, yaw = d["x"], d["y"], d.get("z", 0.0), d.get("yaw", 0.0)
+        return cls(
+            float(json_number(x, "pose.x")),
+            float(json_number(y, "pose.y")),
+            float(json_number(z, "pose.z")),
+            float(json_number(yaw, "pose.yaw")),
+        )
 
 
 @dataclass(frozen=True, eq=False)

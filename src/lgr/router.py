@@ -14,12 +14,13 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
+from numbers import Integral
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .captions import CaptionHit, CaptionStore
 from .embedding import EmbeddingProvider
 from .graph import MemoryGraph
-from .model import Config, Pose
+from .model import Config, Pose, json_number
 from .tools import TOOLS, RetrievalHit, time_components_to_seconds
 
 GRAPH_TOOLS = tuple(t.name for t in TOOLS if not t.vector)
@@ -131,11 +132,18 @@ class SessionStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionStats":
+        """Stats from their JSON object: counts must be JSON integers,
+        latencies JSON numbers and each trace a list of strings, else
+        ValueError."""
+        traces = d.get("traces", [])
+        for trace in traces:
+            if type(trace) is not list or not all(type(step) is str for step in trace):
+                raise ValueError(f"each trace must be a list of strings, got {trace!r}")
         return cls(
-            n_queries=int(d.get("n_queries", 0)),
-            n_vector_calls=int(d.get("n_vector_calls", 0)),
-            latencies=[float(x) for x in d.get("latencies", [])],
-            traces=[tuple(t) for t in d.get("traces", [])],
+            n_queries=json_number(d.get("n_queries", 0), "n_queries", Integral),
+            n_vector_calls=json_number(d.get("n_vector_calls", 0), "n_vector_calls", Integral),
+            latencies=[float(json_number(x, "latencies")) for x in d.get("latencies", [])],
+            traces=[tuple(trace) for trace in traces],
         )
 
 

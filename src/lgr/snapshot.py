@@ -19,9 +19,11 @@ Loading verifies the frame, the lengths, the checksum, the ``uid``
 columns and the row columns (ascending ids below ``next_id``, text
 indexes in the table, counts of at least 1) before any state is
 constructed, so a corrupt or truncated file never leaves partial state.
-The payload is read into one buffer, the only copy of the embeddings:
-each store adopts its read-only block as its first chunk, with no copy
-and no hashing, and copies the row columns into its own. Older formats
+The binary part is read into two buffers, the row columns and the
+vector blocks, and hashed in file order. Each store copies its row
+columns into its own, so their buffer is freed after the load, and
+adopts its read-only block as its first chunk, with no copy and no
+hashing: the second buffer is the only copy of the embeddings. Older formats
 still load: 2.1 (each item's fields in the meta, then the ``uid``
 columns and blocks), 2.0 (no ``uid`` columns: one vector per item) and
 1.x (one JSON document, base64 vectors inline, decoded straight into one
@@ -106,13 +108,17 @@ def provider_to_spec(provider: EmbeddingProvider) -> dict:
 
 
 def provider_from_spec(spec: dict) -> EmbeddingProvider:
+    """The provider a spec names; its seeds and ``dim`` must be JSON
+    integers, else ValueError."""
     kind = spec.get("kind")
     if kind == "hash":
-        return HashProvider(seed=int(spec["seed"]), dim=int(spec["dim"]))
+        seed = json_number(spec["seed"], "seed", Integral)
+        return HashProvider(seed=seed, dim=json_number(spec["dim"], "dim", Integral))
     if kind == "fixture":
+        dim = json_number(spec["dim"], "dim", Integral)
         table = {text: decode_vector(data) for text, data in spec["table"].items()}
-        fallback = HashProvider(seed=int(spec["fallback_seed"]), dim=int(spec["dim"]))
-        return FixtureProvider(table, fallback=fallback, dim=int(spec["dim"]))
+        seed = json_number(spec["fallback_seed"], "fallback_seed", Integral)
+        return FixtureProvider(table, fallback=HashProvider(seed=seed, dim=dim), dim=dim)
     raise SnapshotError(f"unknown provider kind: {kind!r}")
 
 
@@ -242,30 +248,72 @@ def _read_header(line: bytes, path: Path) -> tuple[list[int], int, int, str]:
     return version, payload_bytes, meta_bytes, header.get("payload_sha256")
 
 
-def _split_blocks(blocks: np.ndarray, dim: int, counts: list, vectors: list | None, names, path):
+_KINDS = (MemoryGraph, "nodes"), (CaptionStore, "records")
+
+
+def _layout(payload: dict, version: list[int]) -> tuple[list, list | None, list]:
+    """Per store of a 2.x meta: its row count, its count of stored vectors
+    (None in a 2.0 file: one per row) and the names of its row columns."""
+    sections = payload["graph"], payload["captions"]
+    vectors = None
+    if version >= [2, 1]:
+        vectors = [json_number(s["vectors"], "vectors", Integral) for s in sections]
+    if version >= [2, 2]:
+        counts = [json_number(s["rows"], "rows", Integral) for s in sections]
+        names = [(*store._NAMES, "uid") for store, _ in _KINDS]
+    else:
+        counts = [len(s[key]) for s, (_, key) in zip(sections, _KINDS)]
+        names = [("uid",) if vectors else ()] * 2
+    return counts, vectors, names
+
+
+def _column_bytes(counts: list, names: list) -> int:
+    return sum(n * 8 * len(cols) for n, cols in zip(counts, names))
+
+
+def _read_meta(meta: bytes, version: list[int], limit: int) -> tuple[dict | None, int]:
+    """The decoded meta (None when it does not decode) and the bytes of row
+    columns it puts ahead of the vector blocks, clamped to [0, ``limit``]
+    (0 when it does not give them). Read before the checksum is verified,
+    so the columns and the vectors can land in separate buffers; nothing
+    here is trusted until the checksum matches."""
+    try:
+        payload = json.loads(meta.decode("utf-8"))
+    except ValueError:
+        return None, 0
+    try:
+        counts, _, names = _layout(payload, version)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return payload, 0
+    return payload, min(max(_column_bytes(counts, names), 0), limit)
+
+
+def _split_blocks(columns: np.ndarray, blocks: np.ndarray, dim: int, counts: list,
+                  vectors: list | None, names, path):
     """Per store (graph, then records): its row columns by name, its
     read-only float32 vector block and its ``uid`` column (None where row
-    i holds vector i), read from a binary part that holds each store's
-    columns ``names``, 8 bytes per row each, then each store's vectors:
-    ``vectors`` of them, or one per row in a 2.0 file (``vectors`` None)."""
-    col_bytes = sum(n * 8 * len(cols) for n, cols in zip(counts, names))
+    i holds vector i). ``columns`` holds each store's columns ``names``,
+    8 bytes per row each, and ``blocks`` each store's vectors: ``vectors``
+    of them, or one per row in a 2.0 file (``vectors`` None)."""
+    col_bytes = _column_bytes(counts, names)
     vectors = vectors or counts
     expected = col_bytes + sum(vectors) * dim * 4
-    if blocks.size != expected or min(vectors + counts) < 0:
+    size = columns.size + blocks.size
+    if size != expected or min(vectors + counts) < 0:
         raise SnapshotError(
-            f"{path}: embedding blocks hold {blocks.size} bytes, expected {expected} "
+            f"{path}: embedding blocks hold {size} bytes, expected {expected} "
             f"for {counts[0]} nodes and {counts[1]} records of dimension {dim} "
             f"({vectors[0]} and {vectors[1]} stored vectors)"
         )
     # astype copies only on a big-endian host
-    emb = blocks[col_bytes:].view("<f4").reshape(-1, dim).astype(np.float32, copy=False)
+    emb = blocks.view("<f4").reshape(-1, dim).astype(np.float32, copy=False)
     emb.setflags(write=False)
     out, lo, at = [], 0, 0
     for what, n, m, cols in zip(("node", "record"), counts, vectors, names):
         values = {}
         for name in cols:  # astype copies only on a big-endian host
             dtype = column_dtype(name)
-            column = blocks[at : at + 8 * n].view(dtype.newbyteorder("<"))
+            column = columns[at : at + 8 * n].view(dtype.newbyteorder("<"))
             values[name] = column.astype(dtype, copy=False)
             at += 8 * n
         u = values.pop("uid", None)
@@ -313,38 +361,35 @@ def load_snapshot(path: str | Path) -> SessionState:
                     f"{path}: truncated payload ({size} bytes, expected {expected_len})"
                 )
             meta = fh.read(meta_len)
-            blocks = np.empty(expected_len - meta_len, np.uint8)
-            got = len(meta) + fh.readinto(blocks)
+            rest = expected_len - meta_len
+            payload, split = _read_meta(meta, version, rest)
+            # Two buffers, so the stores' vector blocks, views of the
+            # second, keep no row-column bytes alive.
+            columns, blocks = np.empty(split, np.uint8), np.empty(rest - split, np.uint8)
+            got = len(meta) + fh.readinto(columns) + fh.readinto(blocks)
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from None
     if got != expected_len:
         raise SnapshotError(f"{path}: truncated payload ({got} bytes, expected {expected_len})")
     sha = hashlib.sha256(meta)
+    sha.update(columns)
     sha.update(blocks)
     if sha.hexdigest() != digest:
         raise SnapshotError(f"{path}: payload checksum mismatch")
     try:
-        payload = json.loads(meta.decode("utf-8"))
+        if payload is None:
+            payload = json.loads(meta.decode("utf-8"))  # raises what made _read_meta give up
         cfg = Config.from_dict(payload["config"])
         provider = provider_from_spec(payload["provider"])
         sections = payload["graph"], payload["captions"]
-        kinds = (MemoryGraph, "nodes"), (CaptionStore, "records")
         dim = cfg.embedding_dim
         if version[0] < 2:
-            parts = [({}, _decode_block(s[key], dim), None) for s, (_, key) in zip(sections, kinds)]
+            parts = [({}, _decode_block(s[key], dim), None) for s, (_, key) in zip(sections, _KINDS)]
         else:
-            vectors = None
-            if version >= [2, 1]:
-                vectors = [json_number(s["vectors"], "vectors", Integral) for s in sections]
-            if version >= [2, 2]:
-                counts = [json_number(s["rows"], "rows", Integral) for s in sections]
-                names = [(*store._NAMES, "uid") for store, _ in kinds]
-            else:
-                counts = [len(s[key]) for s, (_, key) in zip(sections, kinds)]
-                names = [("uid",) if vectors else ()] * 2
-            parts = _split_blocks(blocks, dim, counts, vectors, names, path)
+            counts, vectors, names = _layout(payload, version)
+            parts = _split_blocks(columns, blocks, dim, counts, vectors, names, path)
         stores = []
-        for (store, key), s, (values, block, uid) in zip(kinds, sections, parts):
+        for (store, key), s, (values, block, uid) in zip(_KINDS, sections, parts):
             table = s["texts"] if version >= [2, 2] else None
             if table is None:
                 values.update(_entry_columns(store, s[key]))

@@ -219,3 +219,84 @@ class ReferenceGraph:
                 )
             )
         return out
+
+
+# ----------------------------------------------------------------------
+# strict log reader
+# ----------------------------------------------------------------------
+
+
+def _strict_number(value, what: str) -> float:
+    if type(value) not in (int, float):  # a bool is not a JSON number
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _strict_list(obj: dict, key: str, absent):
+    value = obj.get(key, absent)
+    if value is absent or type(value) is list:
+        return value
+    raise TypeError(f"{key} must be a list, got {value!r}")
+
+
+def _strict_record(obj):
+    """One line's LogRecord, every vector field decoded on its own."""
+    from lgr import LogRecord, Pose, decode_vector
+
+    if type(obj) is not dict:
+        raise TypeError(f"a record must be a JSON object, got {obj!r}")
+    frame_id = obj["frame_id"]
+    if type(frame_id) not in (str, int):
+        raise TypeError(f"frame_id must be a string or an integer, got {frame_id!r}")
+    t = _strict_number(obj["t"], "t")
+    p = obj["pose"]
+    if type(p) is not dict:
+        raise TypeError(f"pose must be a JSON object, got {p!r}")
+    pose = Pose(*(_strict_number(v, k) for k, v in
+                  (("x", p["x"]), ("y", p["y"]), ("z", p.get("z", 0.0)), ("yaw", p.get("yaw", 0.0)))))
+    labels = tuple(_strict_list(obj, "labels", ()))
+    caption = obj.get("caption", "")
+    if not all(type(s) is str for s in (*labels, caption)):
+        raise TypeError("labels and caption must be strings")
+    encoded = _strict_list(obj, "label_embeddings", None)
+    if encoded is not None and len(encoded) != len(labels):
+        raise ValueError(f"{len(encoded)} label_embeddings for {len(labels)} labels")
+    label_embeddings = None if encoded is None else tuple(decode_vector(e) for e in encoded)
+    caption_embedding = obj.get("caption_embedding")  # a false value means none
+    caption_embedding = decode_vector(caption_embedding) if caption_embedding else None
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be non-negative, got {t}")
+    return LogRecord(str(frame_id), t, pose, labels, caption, label_embeddings, caption_embedding)
+
+
+def read_log_strict(path, period=None) -> list:
+    """A log's records the slow way, to check the engine's reader against.
+
+    Every line goes through ``json.loads`` and every vector field of every
+    line, kept or dropped, through its own ``decode_vector`` call, so no
+    array is shared between fields. With ``period``, only the records the
+    subsampling rule keeps are returned. The first bad line raises
+    ``LogParseError("<path>:<line>: ...")``; a bad vector's message is
+    ``decode_vector``'s.
+    """
+    import json
+
+    from lgr import LogParseError
+
+    records, prev_t, last_kept = [], None, None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                record = _strict_record(json.loads(line))
+                if prev_t is not None and record.t < prev_t:
+                    raise ValueError(f"timestamps must be non-decreasing ({record.t} after {prev_t})")
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise LogParseError(f"{path}:{lineno}: {exc}") from None
+            prev_t = record.t
+            if period is None or last_kept is None or record.t >= last_kept + period:
+                last_kept = record.t
+                records.append(record)
+    return records

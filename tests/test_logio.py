@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DIM, unit_rows
+from oracles import read_log_strict
 from lgr import (
     Config,
     HashProvider,
@@ -436,3 +438,195 @@ def test_load_log_equals_parse_then_subsample_then_convert(records, fault, at):
     assert got == want
     if fault is None:
         assert got[0] == "ok"
+
+
+# ----------------------------------------------------------------------
+# the readers against an uncached strict reader
+# ----------------------------------------------------------------------
+
+POOL = [encode_vector(v) for v in unit_rows(3, DIM, seed=41)]  # vector texts that repeat
+BAD_VECTORS = ("QUJDRA=", "!!", base64.b64encode(b"abcde").decode())
+
+
+def _vector_bits(e):
+    return None if e is None else (e.dtype.str, e.shape, e.tobytes())
+
+
+def _record_bits(records) -> list:
+    """What the records hold, bit for bit."""
+    return [
+        (
+            r.frame_id, r.t.hex(), tuple(v.hex() for v in (r.pose.x, r.pose.y, r.pose.z, r.pose.yaw)),
+            r.labels, r.caption,
+            None if r.label_embeddings is None else tuple(map(_vector_bits, r.label_embeddings)),
+            _vector_bits(r.caption_embedding),
+        )
+        for r in records
+    ]
+
+
+def _observation_bits(observations) -> list:
+    return [
+        (
+            o.frame_id, o.time.hex(), tuple(v.hex() for v in (o.pose.x, o.pose.y, o.pose.z, o.pose.yaw)),
+            [(lab.text, _vector_bits(lab.embedding)) for lab in o.labels],
+            o.caption and (o.caption.text, _vector_bits(o.caption.embedding)),
+        )
+        for o in observations
+    ]
+
+
+def _parsed(fn, path):
+    """``("ok", fn())``, ``("error", line, message)`` for a LogParseError,
+    which must name ``path:line``, or ``("invalid", message)`` for another
+    ValueError. Anything else propagates and fails the test."""
+    try:
+        return "ok", fn()
+    except LogParseError as exc:
+        where = re.match(re.escape(str(path)) + r":(\d+): ", str(exc))
+        assert where, str(exc)
+        return "error", int(where.group(1)), str(exc)
+    except ValueError as exc:
+        return "invalid", str(exc)
+
+
+def _compare_with_strict(path, exact: bool = True) -> None:
+    """``read_log_records`` and ``load_log`` give what the strict reader
+    gives (with ``exact`` False, for an error only its line)."""
+    cfg, provider = Config(embedding_dim=DIM), HashProvider(seed=11, dim=DIM)
+    n = None if exact else 2
+    got = _parsed(lambda: _record_bits(read_log_records(path)), path)
+    assert got[:n] == _parsed(lambda: _record_bits(read_log_strict(path)), path)[:n]
+    got = _parsed(lambda: _observation_bits(load_log(path, cfg, provider)), path)
+    want = _parsed(lambda: _observation_bits(
+        record_to_observation(r, cfg, provider) for r in read_log_strict(path, cfg.subsample_period)
+    ), path)
+    assert got[:n] == want[:n]
+
+
+def _write_lines(tmp: str, lines: list) -> Path:
+    path = Path(tmp) / "log.jsonl"
+    path.write_text("".join((o if isinstance(o, str) else json.dumps(o)) + "\n" for o in lines))
+    return path
+
+
+@st.composite
+def repeating_logs(draw, bad: bool = True):
+    """JSON records whose vector texts come from ``POOL`` (and, with
+    ``bad``, maybe one bad text), at 0-2.5 s steps, so one text recurs on
+    lines that subsampling at 2 s keeps and on lines it drops."""
+    pool = POOL + ([draw(st.sampled_from(BAD_VECTORS))] if bad and draw(st.booleans()) else [])
+    t, lines = draw(st.sampled_from((0.0, 0.5))), []
+    for i in range(draw(st.integers(1, 12))):
+        t += draw(st.sampled_from((0.0, 0.5, 1.0, 2.0, 2.5)))
+        labels = draw(st.lists(st.sampled_from(("cup", "door", "bench")), max_size=3))
+        obj = {"frame_id": f"f{i}", "t": t, "pose": {"x": 1.0, "y": -2.0}, "labels": labels,
+               "caption": "a cup"}
+        if draw(st.booleans()):
+            obj["label_embeddings"] = [draw(st.sampled_from(pool)) for _ in labels]
+        if draw(st.booleans()):
+            obj["caption_embedding"] = draw(st.sampled_from(pool))
+        lines.append(obj)
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=repeating_logs())
+def test_readers_equal_the_strict_reader(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        _compare_with_strict(_write_lines(tmp, lines))
+
+
+def _bad_vector_lines(bad: str) -> list:
+    """Line 2 (t = 0.5, dropped at 2 s) and line 3 (t = 2, kept) carry the
+    same bad vector text."""
+    line = {"frame_id": "f0", "t": 0.0, "pose": {"x": 0.0, "y": 0.0}, "labels": ["cup"],
+            "label_embeddings": [POOL[0]]}
+    return [line, dict(line, frame_id="f1", t=0.5, label_embeddings=[bad]),
+            dict(line, frame_id="f2", t=2.0, label_embeddings=[bad])]
+
+
+@pytest.mark.parametrize("bad", BAD_VECTORS)
+def test_bad_vector_first_seen_on_a_dropped_line_names_that_line(tmp_path, cfg64, provider64, bad):
+    path = _write_lines(tmp_path, _bad_vector_lines(bad))
+    with pytest.raises(LogParseError, match=rf"log\.jsonl:2: "):
+        next(load_log(path, cfg64, provider64))
+    with pytest.raises(LogParseError, match=rf"log\.jsonl:2: "):
+        read_log_records(path)
+    _compare_with_strict(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=repeating_logs(bad=False))
+def test_equal_vector_texts_share_one_read_only_array(lines):
+    cfg, provider = Config(embedding_dim=DIM), HashProvider(seed=11, dim=DIM)
+    pool = {decode_vector(text).tobytes() for text in POOL}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_lines(tmp, lines)
+        loads = (
+            [e for r in read_log_records(path) for e in (*(r.label_embeddings or ()), r.caption_embedding)],
+            [e for o in load_log(path, cfg, provider)
+             for e in (*(lab.embedding for lab in o.labels), o.caption and o.caption.embedding)],
+        )
+        for vectors in loads:
+            arrays: dict[bytes, set] = {}
+            for e in vectors:
+                if e is not None and e.tobytes() in pool:
+                    arrays.setdefault(e.tobytes(), set()).add(id(e))
+                    assert not e.flags.writeable
+            assert all(len(ids) == 1 for ids in arrays.values()), arrays
+
+
+# ----------------------------------------------------------------------
+# fuzzing the reader with mutated lines
+# ----------------------------------------------------------------------
+
+FIELDS = (
+    ("frame_id",), ("t",), ("pose",), ("pose", "x"), ("pose", "y"), ("pose", "z"), ("pose", "yaw"),
+    ("labels",), ("labels", 0), ("caption",), ("label_embeddings",), ("label_embeddings", 1),
+    ("caption_embedding",),
+)
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.sampled_from((10**400, -(10**400))),  # JSON integers too large for a float
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _valid_line(i: int) -> dict:
+    return {"frame_id": f"f{i}", "t": float(i), "pose": {"x": 1.0, "y": 2.0, "z": 0.5, "yaw": 0.25},
+            "labels": ["cup", "door"], "caption": "a cup by a door",
+            "label_embeddings": [POOL[i % 3], POOL[(i + 1) % 3]], "caption_embedding": POOL[2]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    at=st.integers(0, 4),
+    field=st.sampled_from(FIELDS),
+    how=st.sampled_from(("swap", "drop", "nest", "truncate")),
+    value=JSON_VALUES,
+    nest=st.booleans(),
+    cut=st.floats(0.0, 1.0),
+)
+def test_mutated_line_is_read_as_the_strict_reader_reads_it(at, field, how, value, nest, cut):
+    """A log of five lines one second apart, one of them mutated: the
+    readers return what the strict reader accepts, or raise LogParseError
+    naming the line where it fails, and never TypeError, KeyError or
+    AttributeError."""
+    lines: list = [_valid_line(i) for i in range(5)]
+    line = lines[at]
+    *parents, key = field
+    holder = line
+    for p in parents:
+        holder = holder[p]
+    if how == "swap":
+        holder[key] = value
+    elif how == "drop":
+        del holder[key]
+    elif how == "nest":
+        holder[key] = [holder[key]] if nest else {"v": holder[key]}
+    else:
+        text = json.dumps(line)
+        lines[at] = text[: int(cut * (len(text) - 1))]
+    with tempfile.TemporaryDirectory() as tmp:
+        _compare_with_strict(_write_lines(tmp, lines), exact=False)

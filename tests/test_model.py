@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from numbers import Integral, Real
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from lgr import (
     validate_observation,
 )
 from lgr.embedding import l2_normalize
-from lgr.model import EMBEDDING_NORM_TOL, _embedding_violations
+from lgr.model import EMBEDDING_NORM_TOL, _embedding_violations, json_number
 
 DIM = 8
 CFG = Config(embedding_dim=DIM)
@@ -344,3 +345,56 @@ def test_pose_from_dict_refuses_what_is_not_a_number(d, bad):
 def test_pose_from_dict_reads_numbers_as_floats():
     pose = Pose.from_dict({"x": 1, "y": -2.5, "yaw": 3})
     assert pose == Pose(1.0, -2.5, 0.0, 3.0) and all(type(v) is float for v in vars(pose).values())
+
+
+@pytest.mark.parametrize(
+    "value, kind, message",
+    [
+        (True, Real, "v must be a number, got True"),
+        (True, Integral, "v must be an integer, got True"),
+        (False, Integral, "v must be an integer, got False"),
+        (2.0, Integral, "v must be an integer, got 2.0"),
+        (np.float64(2.0), Integral, "v must be an integer, got np.float64(2.0)"),
+        ("1", Real, "v must be a number, got '1'"),
+        (None, Integral, "v must be an integer, got None"),
+    ],
+)
+def test_json_number_refuses_bools_and_non_integers(value, kind, message):
+    with pytest.raises(ValueError) as err:
+        json_number(value, "v", kind)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [(1.5, Real), (-0.0, Real), (math.inf, Real), (3, Real), (3, Integral), (10**400, Integral),
+     (np.float64(1.5), Real), (np.float32(1.5), Real), (np.int64(3), Integral), (np.int64(3), Real)],
+)
+def test_json_number_accepts_numbers_of_its_kind_unchanged(value, kind):
+    assert json_number(value, "v", kind) is value
+
+
+def test_pose_from_dict_looks_up_every_field_before_checking_one():
+    with pytest.raises(KeyError, match="'y'"):
+        Pose.from_dict({"x": "not a number"})
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"delta_p": True}, "delta_p must be a number, got True"),
+        ({"default_k": True}, "default_k must be an integer, got True"),
+        ({"embedding_dim": 64.0}, "embedding_dim must be an integer, got 64.0"),
+        ({"embedding_dim": np.float64(64)}, "embedding_dim must be an integer, got np.float64(64.0)"),
+        ({"max_planner_iterations": "8"}, "max_planner_iterations must be an integer, got '8'"),
+    ],
+)
+def test_config_number_messages(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        Config(**kwargs)
+    assert str(err.value) == message
+
+
+def test_config_accepts_numpy_scalars_of_each_kind():
+    cfg = Config(delta_p=np.float64(1.5), default_k=np.int64(3), embedding_dim=np.int64(16))
+    assert (cfg.delta_p, cfg.default_k, cfg.embedding_dim) == (1.5, 3, 16)

@@ -948,3 +948,68 @@ def test_older_formats_refuse_mistyped_fields(tmp_path, version, key, field, val
     rewrite_meta(path, lambda p: p[section][key][0].update({field: value}))
     with pytest.raises(SnapshotError, match=match):
         load_snapshot(path)
+
+
+# ----------------------------------------------------------------------
+# provider and stats fields are checked, not coerced
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        ({"provider": {"kind": "hash", "seed": "7", "dim": DIM}}, "seed must be an integer, got '7'"),
+        ({"provider": {"kind": "hash", "seed": 7, "dim": 64.9}}, "dim must be an integer, got 64.9"),
+        ({"provider": {"kind": "hash", "seed": True, "dim": DIM}}, "seed must be an integer, got True"),
+        ({"provider": {"kind": "fixture", "dim": DIM, "fallback_seed": 1.0, "table": {}}},
+         "fallback_seed must be an integer, got 1.0"),
+        ({"stats": {"n_queries": 1, "n_vector_calls": True}}, "n_vector_calls must be an integer, got True"),
+        ({"stats": {"n_queries": "4"}}, "n_queries must be an integer, got '4'"),
+        ({"stats": {"latencies": ["0.1"]}}, "latencies must be a number, got '0.1'"),
+        ({"stats": {"traces": ["ab"]}}, "each trace must be a list of strings, got 'ab'"),
+        ({"stats": {"traces": [["t_semantic", 3]]}}, "each trace must be a list of strings"),
+    ],
+)
+def test_mistyped_provider_or_stats_field_refused_at_load(tmp_path, edit, match):
+    path = saved(tmp_path)
+    rewrite_meta(path, lambda p: p.update(edit))
+    with pytest.raises(SnapshotError, match=re.escape(match)):
+        load_snapshot(path)
+
+
+def test_stats_and_provider_fields_load_as_saved(tmp_path):
+    path = saved(tmp_path)
+    loaded = load_snapshot(path)
+    assert loaded.stats == build_state(n_nodes=5, n_captions=3).stats
+    assert provider_to_spec(loaded.provider) == {"kind": "hash", "seed": 17, "dim": DIM}
+
+
+# ----------------------------------------------------------------------
+# the row columns and the vectors are read into separate buffers
+# ----------------------------------------------------------------------
+
+
+def test_loaded_block_base_holds_only_vector_bytes(tmp_path):
+    path = tmp_path / "s.lgrsnap"
+    save_snapshot(repeating_state(), path)
+    _, payload, _, vectors = split_v2_2(path)
+    loaded = load_snapshot(path)
+    base = loaded.graph._cols.chunks[0].base
+    assert base is loaded.captions._cols.chunks[0].base is not None
+    assert base.nbytes == len(vectors) == (payload["graph"]["vectors"] + payload["captions"]["vectors"]) * DIM * 4
+    assert base.tobytes() == vectors
+
+
+@pytest.mark.parametrize("part", ["columns", "vectors"])
+def test_flipped_byte_in_either_binary_part_fails_checksum(tmp_path, part):
+    path = tmp_path / "s.lgrsnap"
+    save_snapshot(repeating_state(), path)
+    header, meta, binary = split_v2(path)
+    _, _, _, vectors = split_v2_2(path)
+    columns = len(binary) - len(vectors)
+    at = columns // 2 if part == "columns" else columns + len(vectors) // 2
+    data = bytearray(path.read_bytes())
+    data[len(data) - len(binary) + at] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(SnapshotError, match="checksum"):
+        load_snapshot(path)
