@@ -11,7 +11,6 @@ from .embedding import (
     EmbeddingProvider,
     FixtureProvider,
     HashProvider,
-    cosine_similarity,
     l2_normalize,
     load_fixture_table,
     save_fixture_table,
@@ -22,18 +21,13 @@ from .evalharness import (
     EvalReport,
     EvalRow,
     QAItem,
-    SyntheticWorld,
-    WorldEntity,
-    build_synonym_fixture,
     evaluate,
-    generate_synthetic_session,
-    grid_tour_world,
     load_qa_items,
     save_qa_items,
     spatial_error,
     temporal_error,
 )
-from .graph import EntityNode, IngestReport, MemoryGraph, apply_update
+from .graph import EntityNode, IngestReport, MemoryGraph
 from .logio import (
     LogParseError,
     LogRecord,
@@ -63,7 +57,6 @@ from .router import (
     Planner,
     Router,
     RuleBasedPlanner,
-    ScriptedPlanner,
     SessionStats,
     ToolResult,
     fallback_percentage,

@@ -466,13 +466,6 @@ class RowStore:
         with self._lock:
             return self._cols.distinct
 
-    def _top(self, rank: Callable, arg, k: int) -> list:
-        """(item, score) pairs of the k rows ``rank(columns, arg, k)`` picks,
-        in its order."""
-        with self._lock:
-            rows, s = rank(self._cols, arg, k)
-            return list(zip(self._build(rows), s.tolist()))
-
     def hits(self, rank: Callable, arg, k: int, hit: type) -> list:
         """``hit(id, text, pose, time, score)`` of each of the k rows
         ``rank(columns, arg, k)`` picks, in its order."""

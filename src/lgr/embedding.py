@@ -52,26 +52,6 @@ def row_dots(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", matrix, vec)
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine similarity of two vectors, clamped to [-1, 1].
-
-    Accumulates in float64 regardless of input dtype. Mismatched
-    dimensions are an error, never a silent truncation.
-    """
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
-        raise ValueError(
-            f"dimension mismatch: {av.shape} vs {bv.shape}"
-        )
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    score = float(np.dot(av, bv)) / (na * nb)
-    return min(1.0, max(-1.0, score))
-
-
 class EmbeddingProvider(ABC):
     """Deterministic text encoder: same text, same instance, same vector."""
 

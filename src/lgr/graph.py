@@ -10,13 +10,12 @@ memory is missing.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .columns import ROWS, Columns, RowStore
+from .columns import ROWS, RowStore
 from .model import Label, Observation, Pose, ensure_valid
 
 
@@ -52,23 +51,6 @@ class IngestReport:
 def _running_mean(c: int, xyz, p: Pose) -> tuple:
     """The mean position of ``c`` sightings averaging ``xyz`` and one at ``p``."""
     return tuple((c * a + b) / (c + 1) for a, b in zip(xyz, (p.x, p.y, p.z)))
-
-
-def apply_update(node: EntityNode, p_new: Pose, t_new: float) -> EntityNode:
-    """Fold one more sighting into a node.
-
-    Position moves to the running mean weighted by the sighting count; yaw
-    and embedding stay fixed; last_seen only moves forward (slightly
-    re-ordered logs never rewind it).
-    """
-    if not p_new.is_finite():
-        raise ValueError(f"pose must be finite, got {p_new}")
-    if not math.isfinite(t_new):
-        raise ValueError(f"time must be finite, got {t_new!r}")
-    c = node.obs_count
-    x, y, z = _running_mean(c, (node.pose.x, node.pose.y, node.pose.z), p_new)
-    pose = Pose(x, y, z, node.pose.yaw)
-    return replace(node, pose=pose, obs_count=c + 1, last_seen=max(node.last_seen, t_new))
 
 
 class MemoryGraph(RowStore):
@@ -145,22 +127,6 @@ class MemoryGraph(RowStore):
                 cols.append(nid, rep.embedding, rep.text, obs.pose, time=t, first_seen=t, count=1)
             created = tuple(nid for nid, _ in fresh)
             return IngestReport(created, tuple(updated), len(obs.labels))
-
-    # ------------------------------------------------------------------
-    # vectorized scans used by the retrieval tools
-    # ------------------------------------------------------------------
-
-    def top_semantic(self, q: np.ndarray, k: int) -> list[tuple[EntityNode, float]]:
-        """k nodes with highest cosine similarity to ``q``, descending."""
-        return self._top(Columns.top_cosine, q, k)
-
-    def top_position(self, xyz: np.ndarray, k: int) -> list[tuple[EntityNode, float]]:
-        """k nodes nearest to ``xyz`` in L2 over x, y, z, ascending."""
-        return self._top(Columns.top_distance, xyz, k)
-
-    def top_time(self, t: float, k: int) -> list[tuple[EntityNode, float]]:
-        """k nodes whose last_seen is closest to ``t`` in L1, ascending."""
-        return self._top(Columns.top_time_gap, t, k)
 
     # ------------------------------------------------------------------
     # internals (call with the lock held)

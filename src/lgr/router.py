@@ -1,8 +1,9 @@
-"""Bounded reasoning loop over a registered tool surface.
+"""Bounded reasoning loop over the six retrieval tools.
 
 The router runs a pluggable planner for at most ``max_planner_iterations``
 actions per query, feeding every tool result back into the planner's
-context. Graph tools are preferred; queries that touch any caption-store
+context. It calls the tools of ``tools.TOOLS`` by name; the set is
+fixed. Graph tools are preferred; queries that touch any caption-store
 tool at least once are counted toward the vector-fallback rate
 (n_vector_calls / n_queries).
 """
@@ -13,16 +14,17 @@ import re
 import time
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from numbers import Integral
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .captions import CaptionHit, CaptionStore
 from .embedding import EmbeddingProvider
 from .graph import MemoryGraph
 from .model import Config, Pose, json_number
-from .tools import TOOLS, RetrievalHit, time_components_to_seconds
+from .tools import TOOLS, RetrievalHit, Tool, time_components_to_seconds
 
+_BY_NAME: dict[str, Tool] = {t.name: t for t in TOOLS}
 GRAPH_TOOLS = tuple(t.name for t in TOOLS if not t.vector)
 VECTOR_TOOLS = tuple(t.name for t in TOOLS if t.vector)
 
@@ -159,21 +161,13 @@ def fallback_percentage(stats: SessionStats) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ToolEntry:
-    name: str
-    schema: dict
-    handler: Callable[..., list]
-    vector: bool
-
-
 class Router:
     """Dispatches planner actions against the two memory stores.
 
-    The six built-in tools are registered from ``tools.TOOLS``, the table
-    ``lgr query`` also reads; additional tools can be registered so an
-    external LLM adapter can mount the same loop. Tool handlers are
-    read-only with respect to the stores.
+    The tools are the six of ``tools.TOOLS``, the table ``lgr query`` also
+    reads; there is no registration. An external LLM planner implements
+    ``Planner`` and reads ``tool_schemas()``. Tools are read-only with
+    respect to the stores.
     """
 
     def __init__(
@@ -188,39 +182,18 @@ class Router:
         self._planner = planner
         self._cfg = cfg if cfg is not None else graph.cfg
         self.stats = stats if stats is not None else SessionStats()
-        self._tools: dict[str, _ToolEntry] = {}
-        for t in TOOLS:
-            self.register_tool(
-                t.name, t.schema(), partial(t.run, graph, captions, provider), t.vector
-            )
-
-    # -- tool registry -------------------------------------------------
-
-    def register_tool(
-        self,
-        name: str,
-        schema: dict,
-        handler: Callable[..., list],
-        vector: bool = False,
-    ) -> None:
-        """Mount a tool for planners to call. Names must be unique."""
-        if name in self._tools:
-            raise ValueError(f"tool already registered: {name}")
-        self._tools[name] = _ToolEntry(name, dict(schema), handler, vector)
+        self._stores = graph, captions, provider  # every tool's first three arguments
 
     def tool_schemas(self) -> list[dict]:
-        """Machine-readable descriptors, one per tool, in registry order."""
-        return [
-            {"name": e.name, **e.schema, "vector_store": e.vector}
-            for e in self._tools.values()
-        ]
+        """Machine-readable descriptors, one per tool, in ``TOOLS`` order."""
+        return [{"name": t.name, **t.schema(), "vector_store": t.vector} for t in TOOLS]
 
     # -- the loop --------------------------------------------------------
 
     def answer_query(self, query: str) -> Answer:
         """Run the planner loop; never raises on planner or tool trouble.
 
-        Unknown tools and handler errors land in the trace as failed
+        Unknown tools and tool errors land in the trace as failed
         results and the loop continues; a planner that never answers is
         cut off after ``max_planner_iterations`` actions with a truncated
         give-up answer.
@@ -256,15 +229,15 @@ class Router:
     # -- internals -------------------------------------------------------
 
     def _dispatch(self, call: CallTool) -> ToolResult:
-        entry = self._tools.get(call.tool)
+        tool = _BY_NAME.get(call.tool)
         args = dict(call.args)
-        if entry is None:
+        if tool is None:
             return ToolResult(call.tool, args, None, f"unknown tool: {call.tool}", False)
         try:
-            hits = entry.handler(**args)
+            hits = tool.run(*self._stores, **args)
         except Exception as exc:  # planner mistakes must not kill the loop
-            return ToolResult(call.tool, args, None, str(exc), entry.vector)
-        return ToolResult(call.tool, args, hits, None, entry.vector)
+            return ToolResult(call.tool, args, None, str(exc), tool.vector)
+        return ToolResult(call.tool, args, hits, None, tool.vector)
 
 
 # ----------------------------------------------------------------------
@@ -387,27 +360,3 @@ class RuleBasedPlanner(Planner):
         return AnswerAction(
             text=f"recalled scene: {hit.text}", pose=hit.pose, time=hit.time
         )
-
-
-class ScriptedPlanner(Planner):
-    """Replays a fixed action sequence per query.
-
-    Intended for offline traces and accounting tests: the action at index
-    ``len(context)`` runs next, so scripts read as the literal sequence of
-    tool calls followed by a final answer.
-    """
-
-    def __init__(
-        self,
-        scripts: Mapping[str, Sequence[Action]],
-        default: Sequence[Action] = (),
-    ):
-        self._scripts = {q: tuple(a) for q, a in scripts.items()}
-        self._default = tuple(default)
-
-    def next_action(self, query: str, context: Sequence[ToolResult]) -> Action:
-        script = self._scripts.get(query, self._default)
-        step = len(context)
-        if step < len(script):
-            return script[step]
-        return GiveUpAction("script exhausted")

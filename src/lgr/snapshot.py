@@ -226,12 +226,16 @@ def _read_header(line: bytes, path: Path) -> tuple[list[int], int, int, str]:
         raise SnapshotError(f"{path}: bad snapshot header: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise SnapshotError(f"{path}: not a {FORMAT_NAME} file")
+    version, payload_bytes = header.get("version"), header.get("payload_bytes", -1)
     try:
-        version = [int(v) for v in header.get("version", [])]
-        payload_bytes = int(header.get("payload_bytes", -1))
-    except (TypeError, ValueError) as exc:
+        if type(version) is not list or not version:
+            raise ValueError(f"version must be a non-empty list of integers, got {version!r}")
+        for v in version:
+            json_number(v, "version", Integral)
+        json_number(payload_bytes, "payload_bytes", Integral)
+    except ValueError as exc:
         raise SnapshotError(f"{path}: bad snapshot header: {exc}") from None
-    if not version or version[0] > FORMAT_VERSION[0]:
+    if version[0] > FORMAT_VERSION[0]:
         raise SnapshotError(
             f"{path}: snapshot version {version} is newer than supported "
             f"{list(FORMAT_VERSION)}"

@@ -20,6 +20,26 @@ def dot64(a, b) -> float:
     return min(1.0, max(-1.0, score))
 
 
+def cosine_similarity(a, b) -> float:
+    """Cosine similarity of two vectors, clamped to [-1, 1].
+
+    Accumulates in float64 regardless of input dtype. Mismatched
+    dimensions are an error, never a silent truncation.
+    """
+    av = np.asarray(a, dtype=np.float64)
+    bv = np.asarray(b, dtype=np.float64)
+    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
+        raise ValueError(
+            f"dimension mismatch: {av.shape} vs {bv.shape}"
+        )
+    na = float(np.linalg.norm(av))
+    nb = float(np.linalg.norm(bv))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine similarity undefined for zero vectors")
+    score = float(np.dot(av, bv)) / (na * nb)
+    return min(1.0, max(-1.0, score))
+
+
 def assert_ranking(got, want, tol=1e-6):
     """Same ids in the same order; scores equal within tolerance."""
     assert [g[0] for g in got] == [w[0] for w in want], (got, want)
@@ -239,9 +259,18 @@ def _strict_list(obj: dict, key: str, absent):
     raise TypeError(f"{key} must be a list, got {value!r}")
 
 
+def _strict_pose(p, what: str):
+    from lgr import Pose
+
+    if type(p) is not dict:
+        raise TypeError(f"{what} must be a JSON object, got {p!r}")
+    fields = ("x", p["x"]), ("y", p["y"]), ("z", p.get("z", 0.0)), ("yaw", p.get("yaw", 0.0))
+    return Pose(*(_strict_number(v, k) for k, v in fields))
+
+
 def _strict_record(obj):
     """One line's LogRecord, every vector field decoded on its own."""
-    from lgr import LogRecord, Pose, decode_vector
+    from lgr import LogRecord, decode_vector
 
     if type(obj) is not dict:
         raise TypeError(f"a record must be a JSON object, got {obj!r}")
@@ -249,11 +278,7 @@ def _strict_record(obj):
     if type(frame_id) not in (str, int):
         raise TypeError(f"frame_id must be a string or an integer, got {frame_id!r}")
     t = _strict_number(obj["t"], "t")
-    p = obj["pose"]
-    if type(p) is not dict:
-        raise TypeError(f"pose must be a JSON object, got {p!r}")
-    pose = Pose(*(_strict_number(v, k) for k, v in
-                  (("x", p["x"]), ("y", p["y"]), ("z", p.get("z", 0.0)), ("yaw", p.get("yaw", 0.0)))))
+    pose = _strict_pose(obj["pose"], "pose")
     labels = tuple(_strict_list(obj, "labels", ()))
     caption = obj.get("caption", "")
     if not all(type(s) is str for s in (*labels, caption)):
@@ -300,3 +325,52 @@ def read_log_strict(path, period=None) -> list:
                 last_kept = record.t
                 records.append(record)
     return records
+
+
+# ----------------------------------------------------------------------
+# strict QA reader
+# ----------------------------------------------------------------------
+
+
+def _strict_qa_item(obj):
+    """One line's QAItem, every field type-checked on its own."""
+    from lgr import QAItem
+
+    if type(obj) is not dict:
+        raise TypeError(f"a QA item must be a JSON object, got {obj!r}")
+    question, kind = obj["question"], obj["kind"]
+    if type(question) is not str or type(kind) is not str:
+        raise TypeError("question and kind must be strings")
+    if kind not in ("spatial", "temporal", "descriptive"):
+        raise ValueError(f"unknown kind {kind!r}")
+    p, pose = obj.get("gt_pose"), None
+    if p:  # a false value means none
+        pose = _strict_pose(p, "gt_pose")
+    t = obj.get("gt_time")
+    gt_time = None if t is None else _strict_number(t, "gt_time")
+    if kind == "spatial" and pose is None:
+        raise ValueError("a spatial item needs gt_pose")
+    if kind == "temporal" and gt_time is None:
+        raise ValueError("a temporal item needs gt_time")
+    return QAItem(question, kind, pose, gt_time)
+
+
+def read_qa_strict(path) -> list:
+    """A QA file's items the slow way, to check ``load_qa_items`` against.
+
+    Blank lines and ``#`` comments are skipped; the first bad line raises
+    ``ValueError("<path>:<line>: bad QA item: ...")``.
+    """
+    import json
+
+    items = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                items.append(_strict_qa_item(json.loads(line)))
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad QA item: {exc}") from None
+    return items

@@ -29,15 +29,11 @@ from lgr import (
     QAItem,
     Router,
     RuleBasedPlanner,
-    ScriptedPlanner,
     SessionState,
     SessionStats,
     SnapshotError,
-    build_synonym_fixture,
     evaluate,
     fallback_percentage,
-    generate_synthetic_session,
-    grid_tour_world,
     load_snapshot,
     record_to_observation,
     save_snapshot,
@@ -47,6 +43,12 @@ from lgr import (
     t_time,
     temporal_error,
     write_log,
+)
+from worlds import (
+    ScriptedPlanner,
+    build_synonym_fixture,
+    generate_synthetic_session,
+    grid_tour_world,
 )
 
 

@@ -26,6 +26,7 @@ from lgr import (
     MemoryGraph,
     Observation,
     Pose,
+    RetrievalHit,
     SessionState,
     SessionStats,
     load_snapshot,
@@ -170,9 +171,9 @@ def test_shuffled_restore_equals_sorted_restore(cfg64):
     assert (g_shuffled.next_id, c_shuffled.next_id) == (41, 41)
     q = unit_rows(1, DIM, seed=2)[0]
     for k in (1, 7, 40):
-        assert g_shuffled.top_semantic(q, k) == g_sorted.top_semantic(q, k)
-        assert g_shuffled.top_position(np.zeros(3), k) == g_sorted.top_position(np.zeros(3), k)
-        assert g_shuffled.top_time(900.0, k) == g_sorted.top_time(900.0, k)
+        assert graph_cosine(g_shuffled, q, k) == graph_cosine(g_sorted, q, k)
+        assert t_position(g_shuffled, 0.0, 0.0, 0.0, k) == t_position(g_sorted, 0.0, 0.0, 0.0, k)
+        assert t_time(g_shuffled, 0, 15, 0, k) == t_time(g_sorted, 0, 15, 0, k)
         assert c_shuffled.query_text(q, k) == c_sorted.query_text(q, k)
         assert c_shuffled.query_position(Pose(1.0, 2.0), k) == c_sorted.query_position(
             Pose(1.0, 2.0), k
@@ -285,6 +286,12 @@ def full_scan_matches(emb, pos, q, p, delta_e: float, delta_p: float) -> list[in
     return (hit[np.lexsort((hit, d[hit]))] + 1).tolist()
 
 
+def graph_cosine(g: MemoryGraph, q, k: int) -> list[tuple[int, float]]:
+    """(node_id, score) of the k nodes most similar to ``q``, as
+    ``t_semantic`` ranks them."""
+    return [(h.node_id, h.score) for h in g.hits(Columns.top_cosine, q, k, RetrievalHit)]
+
+
 def got_top(pairs) -> tuple[list[int], bytes]:
     pairs = list(pairs)
     return [i for i, _ in pairs], np.array([s for _, s in pairs], dtype=np.float64).tobytes()
@@ -361,7 +368,7 @@ def test_cosine_tools_equal_full_float64_scan(dim, n, seed, mode, log_norm, grow
     ks = {1, n, n + 1, n + 2, data.draw(st.integers(1, n + 2))} - {0}
     for k in sorted(ks):
         want = full_scan_top(emb, q, k)
-        assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, k)) == want
+        assert got_top(graph_cosine(g, q, k)) == want
         assert got_top((h.record_id, h.score) for h in c.query_text(q, k)) == want
 
 
@@ -413,7 +420,7 @@ def test_non_finite_query_or_row_equals_full_scan(nan_row):
     for q in queries:
         for k in (1, 3, n - 1, n, n + 2):
             want = full_scan_top(emb, q, k)
-            assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, k)) == want
+            assert got_top(graph_cosine(g, q, k)) == want
             assert got_top((h.record_id, h.score) for h in c.query_text(q, k)) == want
         want = full_scan_matches(emb, pos, q, np.zeros(3), cfg.delta_e, cfg.delta_p)
         assert g.find_matches(q, Pose(0.0, 0.0)) == want
@@ -457,7 +464,7 @@ def test_tools_and_gate_equal_oracles_across_chunks(chunk, restored, ingested, s
             check_caption_tools(c, k, rng)
             for q in [e, rng.standard_normal(DIM)] + [emb[b] for b in np.flatnonzero(dup)[:2]]:
                 want = full_scan_top(emb, q, k)
-                assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, k)) == want
+                assert got_top(graph_cosine(g, q, k)) == want
                 assert got_top((h.record_id, h.score) for h in c.query_text(q, k)) == want
         nodes = [(nd.node_id, nd.embedding, (nd.pose.x, nd.pose.y, nd.pose.z)) for nd in g.all_nodes()]
         for q in [emb[b] for b in np.flatnonzero(dup)[:2]] + [e]:
@@ -559,7 +566,7 @@ def test_refine_is_exact_for_any_filter_error_within_the_bound(monkeypatch):
         assert g._cols._eps(np.float64(q)) > np.ptp(full_scan(emb, q)) / 20
         for k in range(1, n + 3):
             want = full_scan_top(emb, q, k)
-            assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, k)) == want
+            assert got_top(graph_cosine(g, q, k)) == want
             assert got_top((h.record_id, h.score) for h in c.query_text(q, k)) == want
     s = full_scan(emb, base[0])
     for floor in np.sort(s)[::4]:
@@ -583,7 +590,7 @@ def test_cosine_scans_rescore_only_candidates(monkeypatch):
     pos = np.zeros((n, 3))
     g, c = stores_of(cfg, emb, pos, restored=n)
     q = unit_rows(1, cfg.embedding_dim, seed=32)[0]
-    assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, 5)) == full_scan_top(emb, q, 5)
+    assert got_top(graph_cosine(g, q, 5)) == full_scan_top(emb, q, 5)
     assert got_top((h.record_id, h.score) for h in c.query_text(q, 5)) == full_scan_top(emb, q, 5)
     assert g.find_matches(emb[9], Pose(0.0, 0.0)) == [10]
     assert len(rescored) == 3 and max(rescored) <= 20, rescored
@@ -634,10 +641,10 @@ def check_cosine_and_gate(g: MemoryGraph, c: CaptionStore, emb, pos, queries, ks
     for q in queries:
         for k in ks:
             want = full_scan_top(emb, q, k)
-            assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, k)) == want
+            assert got_top(graph_cosine(g, q, k)) == want
             assert got_top((h.record_id, h.score) for h in c.query_text(q, k)) == want
             oracles.assert_ranking(
-                [(nd.node_id, s) for nd, s in g.top_semantic(q, k)],
+                graph_cosine(g, q, k),
                 oracles.rank_semantic([(i, e) for i, e, _ in nodes], q, k),
             )
         for p in pos[:: max(1, len(pos) // 4)]:
@@ -742,7 +749,7 @@ def test_interned_scans_rescore_only_candidate_vectors(monkeypatch):
     assert g._cols.uid is not None and c.vector_count() < 0.6 * n
     rescored.clear()  # ingest ran the gate once per row
     q = unit_rows(1, cfg.embedding_dim, seed=34)[0]
-    assert got_top((nd.node_id, s) for nd, s in g.top_semantic(q, 5)) == full_scan_top(emb, q, 5)
+    assert got_top(graph_cosine(g, q, 5)) == full_scan_top(emb, q, 5)
     assert got_top((h.record_id, h.score) for h in c.query_text(q, 5)) == full_scan_top(emb, q, 5)
     mask = np.ones(n, bool)
     want = np.flatnonzero(full_scan(emb, emb[9]) > cfg.delta_e)

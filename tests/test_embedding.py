@@ -17,11 +17,11 @@ from lgr import embedding
 from lgr import (
     FixtureProvider,
     HashProvider,
-    cosine_similarity,
     l2_normalize,
     load_fixture_table,
     save_fixture_table,
 )
+from oracles import cosine_similarity
 
 # Regression pin: similarity of two fixed texts under the shipped hash
 # construction, recorded once and asserted stable ever after.

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import DIM
 from lgr import (
     AnswerAction,
@@ -17,20 +23,22 @@ from lgr import (
     QAItem,
     Router,
     RuleBasedPlanner,
-    ScriptedPlanner,
     SessionState,
-    SyntheticWorld,
-    WorldEntity,
-    build_synonym_fixture,
     evaluate,
-    generate_synthetic_session,
-    grid_tour_world,
     load_qa_items,
     record_to_observation,
     save_qa_items,
     spatial_error,
     temporal_error,
     write_log,
+)
+from worlds import (
+    ScriptedPlanner,
+    SyntheticWorld,
+    WorldEntity,
+    build_synonym_fixture,
+    generate_synthetic_session,
+    grid_tour_world,
 )
 
 
@@ -82,8 +90,12 @@ class TestQAItems:
             "[1, 2]",
             '{"question": "q", "kind": "spatial", "gt_pose": 5}',
             '{"question": "q", "kind": "spatial", "gt_pose": {"x": null, "y": 1.0}}',
+            # integers too large for a float: were an OverflowError
+            '{"question": "q", "kind": "spatial", "gt_pose": {"x": 1%s, "y": 1.0}}' % ("0" * 400),
+            '{"question": "q", "kind": "temporal", "gt_time": 1%s}' % ("0" * 400),
         ],
-        ids=["spatial-without-pose", "list", "pose-is-a-number", "pose-x-null"],
+        ids=["spatial-without-pose", "list", "pose-is-a-number", "pose-x-null", "pose-x-huge",
+             "time-huge"],
     )
     def test_bad_line_reports_position(self, tmp_path, line):
         path = tmp_path / "qa.jsonl"
@@ -109,6 +121,72 @@ class TestQAItems:
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match=":1: bad QA item: .*must be"):
             load_qa_items(path)
+
+
+# ----------------------------------------------------------------------
+# fuzzing the QA reader with mutated lines
+# ----------------------------------------------------------------------
+
+QA_FIELDS = (
+    ("question",), ("kind",), ("gt_pose",), ("gt_pose", "x"), ("gt_pose", "y"),
+    ("gt_pose", "z"), ("gt_pose", "yaw"), ("gt_time",),
+)
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _qa_line(i: int) -> dict:
+    return {"question": f"where is thing {i}?", "kind": ("spatial", "temporal", "descriptive")[i % 3],
+            "gt_pose": {"x": 1.0, "y": 2.0, "z": 0.5, "yaw": 0.25}, "gt_time": 10.0 * i}
+
+
+def _read_qa(reader, path):
+    """The items as JSON text, or the ``path:line`` a ValueError names."""
+    try:
+        return [json.dumps(item.to_json_dict(), sort_keys=True) for item in reader(path)]
+    except ValueError as exc:
+        assert type(exc) is ValueError
+        where, sep, _ = str(exc).partition(": bad QA item: ")
+        assert sep, exc
+        return where
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    at=st.integers(0, 2),
+    field=st.sampled_from(QA_FIELDS),
+    how=st.sampled_from(("swap", "drop", "nest", "truncate", "huge")),
+    value=JSON_VALUES,
+    flag=st.booleans(),
+    cut=st.floats(0.0, 1.0),
+)
+def test_mutated_qa_line_is_read_as_the_strict_reader_reads_it(at, field, how, value, flag, cut):
+    """A QA file of three lines, one of them mutated: ``load_qa_items``
+    returns what the strict reader accepts, or raises ValueError naming
+    the line where it fails, and never any other type."""
+    lines: list = [_qa_line(i) for i in range(3)]
+    line = lines[at]
+    *parents, key = field
+    holder = line
+    for p in parents:
+        holder = holder[p]
+    if how == "swap":
+        holder[key] = value
+    elif how == "drop":
+        del holder[key]
+    elif how == "nest":
+        holder[key] = [holder[key]] if flag else {"v": holder[key]}
+    elif how == "huge":  # a JSON integer too large for a float
+        holder[key] = 10**400 if flag else -(10**400)
+    else:
+        text = json.dumps(line)
+        lines[at] = text[: int(cut * (len(text) - 1))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "qa.jsonl"
+        path.write_text("".join((o if isinstance(o, str) else json.dumps(o)) + "\n" for o in lines))
+        assert _read_qa(load_qa_items, path) == _read_qa(oracles.read_qa_strict, path)
 
 
 def scripted_router(answers: dict[str, AnswerAction]) -> Router:

@@ -13,8 +13,9 @@ from lgr import (
     MemoryGraph,
     Observation,
     Pose,
-    apply_update,
+    RetrievalHit,
 )
+from lgr.columns import Columns
 from lgr.embedding import HashProvider, l2_normalize
 
 
@@ -39,39 +40,63 @@ def prov() -> HashProvider:
     return HashProvider(seed=21, dim=DIM)
 
 
-class TestApplyUpdate:
-    def test_mean_of_two_points(self, prov):
-        node = node_at(1, prov.embed("cup"), Pose(0.0, 0.0, 0.0, 0.0))
-        out = apply_update(node, Pose(2.0, 0.0, 0.0, 1.0), 5.0)
+class TestUpdateRule:
+    """One node's update, read back after each of its sightings is ingested."""
+
+    @staticmethod
+    def sighted(cfg, prov, *sightings):
+        """The graph after one "cup" sighting per (pose, time), and the label
+        embedding every sighting carried."""
+        g = MemoryGraph(cfg)
+        emb = prov.embed("cup")
+        for i, (pose, t) in enumerate(sightings):
+            g.ingest_observation(obs_with([Label("cup", emb)], pose=pose, t=t, frame=f"f{i}"))
+        assert g.node_count() == 1
+        return g, emb
+
+    def test_mean_of_two_points(self, cfg64, prov):
+        g, _ = self.sighted(
+            cfg64, prov, (Pose(0.0, 0.0, 0.0, 0.0), 0.0), (Pose(2.0, 0.0, 0.0, 1.0), 5.0)
+        )
+        out = g.get_node(1)
         assert (out.pose.x, out.pose.y, out.pose.z) == (1.0, 0.0, 0.0)
         assert out.obs_count == 2
         assert out.last_seen == 5.0
 
-    def test_equal_point_is_fixed_point(self, prov):
-        node = node_at(1, prov.embed("cup"), Pose(1.0, 1.0, 0.0))
-        node = apply_update(apply_update(node, Pose(1.0, 1.0, 0.0), 1.0), Pose(1.0, 1.0, 0.0), 2.0)
+    def test_equal_point_is_fixed_point(self, cfg64, prov):
+        p = Pose(1.0, 1.0, 0.0)
+        g, _ = self.sighted(cfg64, prov, (p, 0.0), (p, 1.0), (p, 2.0))
+        node = g.get_node(1)
         assert (node.pose.x, node.pose.y, node.pose.z) == (1.0, 1.0, 0.0)
         assert node.obs_count == 3
 
-    def test_yaw_preserved(self, prov):
-        node = node_at(1, prov.embed("cup"), Pose(0.0, 0.0, 0.0, 0.5))
-        out = apply_update(node, Pose(4.0, 4.0, 0.0, -2.0), 9.0)
-        assert out.pose.yaw == 0.5
+    def test_yaw_preserved(self, cfg64, prov):
+        g, _ = self.sighted(
+            cfg64, prov, (Pose(0.0, 0.0, 0.0, 0.5), 0.0), (Pose(3.0, 3.0, 0.0, -2.0), 9.0)
+        )
+        assert g.get_node(1).pose.yaw == 0.5
 
-    def test_embedding_object_unchanged(self, prov):
-        emb = prov.embed("cup")
-        out = apply_update(node_at(1, emb, Pose(0.0, 0.0)), Pose(1.0, 1.0), 1.0)
-        assert out.embedding is emb
+    def test_embedding_unchanged(self, cfg64, prov):
+        g, emb = self.sighted(cfg64, prov, (Pose(0.0, 0.0), 0.0), (Pose(1.0, 1.0), 1.0))
+        out = g.get_node(1)
+        assert out.obs_count == 2
+        assert out.embedding.tobytes() == emb.tobytes()
+        assert not out.embedding.flags.writeable
 
-    def test_last_seen_never_rewinds(self, prov):
-        node = node_at(1, prov.embed("cup"), Pose(0.0, 0.0), t=10.0)
-        out = apply_update(node, Pose(1.0, 0.0), 4.0)
+    def test_last_seen_never_rewinds(self, cfg64, prov):
+        g, _ = self.sighted(cfg64, prov, (Pose(0.0, 0.0), 10.0), (Pose(1.0, 0.0), 4.0))
+        out = g.get_node(1)
+        assert out.obs_count == 2
         assert out.last_seen == 10.0
 
-    def test_non_finite_pose_rejected(self, prov):
-        node = node_at(1, prov.embed("cup"), Pose(0.0, 0.0))
+    def test_non_finite_pose_rejected(self, cfg64, prov):
+        g, emb = self.sighted(cfg64, prov, (Pose(0.0, 0.0), 0.0))
+        before = g.get_node(1)
         with pytest.raises(ValueError):
-            apply_update(node, Pose(float("nan"), 0.0), 1.0)
+            g.ingest_observation(
+                obs_with([Label("cup", emb)], pose=Pose(float("nan"), 0.0), t=1.0)
+            )
+        assert g.all_nodes() == [before]
 
 
 class TestAccessors:
@@ -404,4 +429,5 @@ class TestRestore:
             )
         assert [n.node_id for n in g.all_nodes()] == [5, 6, 7, 8, 9]
         assert g.get_node(5) == node
-        assert g.top_semantic(node.embedding, 1)[0][0] == node
+        (top,) = g.hits(Columns.top_cosine, node.embedding, 1, RetrievalHit)
+        assert g.get_node(top.node_id) == node

@@ -17,10 +17,10 @@ from lgr import (
     Pose,
     Router,
     RuleBasedPlanner,
-    ScriptedPlanner,
     SessionStats,
     fallback_percentage,
 )
+from worlds import ScriptedPlanner
 
 
 class AlwaysCallPlanner(Planner):
@@ -169,27 +169,6 @@ class TestRouterLoop:
 
 
 class TestRegistry:
-    def test_register_and_call_custom_tool(self):
-        cfg, provider, graph, captions = make_state()
-        planner = ScriptedPlanner(
-            {"q": [CallTool("echo", {"v": "hi"}), AnswerAction(text="done")]}
-        )
-        router = Router(graph, captions, provider, planner, cfg=cfg)
-        router.register_tool(
-            "echo",
-            {"description": "echo", "params": [{"name": "v", "type": "string"}]},
-            lambda v: [v],
-        )
-        answer = router.answer_query("q")
-        assert answer.trace[0].hits == ["hi"]
-        assert answer.text == "done"
-
-    def test_duplicate_name_rejected(self):
-        cfg, provider, graph, captions = make_state()
-        router = Router(graph, captions, provider, ScriptedPlanner({}), cfg=cfg)
-        with pytest.raises(ValueError, match="already registered"):
-            router.register_tool("t_semantic", {}, lambda: [])
-
     def test_schema_export_lists_all_builtins(self):
         cfg, provider, graph, captions = make_state()
         router = Router(graph, captions, provider, ScriptedPlanner({}), cfg=cfg)

@@ -4,9 +4,11 @@ several small chunks and repeat (so rows share them).
 
 Every tool is called through ``TOOLS`` and checked against the full-scan
 ``rank_*`` oracles over the items the stores return, and the ingest gate
-against ``find_matches_naive``. The caption store is append-only, so a
-plain list models it exactly; the graph is checked by its invariants and
-by surviving each save/load and restore unchanged.
+against ``find_matches_naive``. Routed "where is" questions are checked
+against the answer those oracles pick, and against the session counters.
+The caption store is append-only, so a plain list models it exactly; the
+graph is checked by its invariants and by surviving each save/load and
+restore unchanged.
 """
 
 from __future__ import annotations
@@ -31,11 +33,14 @@ from lgr import (
     MemoryGraph,
     Observation,
     Pose,
+    Router,
+    RuleBasedPlanner,
     SessionState,
     load_snapshot,
     save_snapshot,
 )
 from lgr import columns
+from lgr.router import RELEVANCE_FLOOR
 from lgr.tools import TOOLS
 
 DIM = 8
@@ -154,6 +159,34 @@ class Session(RuleBasedStateMachine):
             hits = tool.run(self.state.graph, self.state.captions, self.provider, **args[tool.name])
             got = [(h.record_id if tool.vector else h.node_id, h.score) for h in hits]
             oracles.assert_ranking(got, want[tool.name])
+
+    @rule(label=st.sampled_from(LABELS))
+    def route(self, label):
+        # the labels hold no digit and no stopword, so the subject is the label
+        state = self.state
+        q = self.provider.embed(label)
+        nodes = {n.node_id: n for n in state.graph.all_nodes()}
+        records = {r.record_id: r for r in state.captions.all_records()}
+        top_node = oracles.rank_semantic([(i, n.embedding) for i, n in nodes.items()], q, 1)
+        top_caption = oracles.rank_semantic([(i, r.embedding) for i, r in records.items()], q, 1)
+        stats = state.stats
+        queries, vector_calls = stats.n_queries, stats.n_vector_calls
+        router = Router(state.graph, state.captions, self.provider, RuleBasedPlanner(), stats=stats)
+        answer = router.answer_query(f"where is the {label}?")
+        fell_back = not top_node or top_node[0][1] < RELEVANCE_FLOOR
+        got = (answer.pose, answer.time, answer.gave_up)
+        if not fell_back:
+            node = nodes[top_node[0][0]]
+            assert got == (node.pose, node.last_seen, False)
+        elif top_caption:
+            record = records[top_caption[0][0]]
+            assert got == (record.pose, record.time, False)
+        else:
+            assert got == (None, None, True)
+        steps = [(r.tool, r.args) for r in answer.trace]
+        args = {"query": label, "k": 5}
+        assert steps == [("t_semantic", args)] + [("captions_text", args)] * fell_back
+        assert (stats.n_queries, stats.n_vector_calls) == (queries + 1, vector_calls + fell_back)
 
     @rule()
     def save_and_load(self):

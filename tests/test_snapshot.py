@@ -703,6 +703,35 @@ class TestCorruption:
         with pytest.raises(SnapshotError):
             load_snapshot(path)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("version", lambda v: "".join(map(str, v))),  # "22": was read as [2, 2]
+            ("version", lambda v: [str(x) for x in v]),  # ["2", "2"]: was [2, 2]
+            ("version", lambda v: [v[0] + 0.9, *v[1:]]),  # [2.9, 2]: was [2, 2]
+            ("version", lambda v: [True, *v[1:]]),  # was read as a 1.x file
+            ("version", lambda v: []),  # was "newer than supported"
+            ("version", lambda v: None),
+            ("payload_bytes", float),  # was read as its integer
+            ("payload_bytes", str),
+            ("payload_bytes", lambda n: True),
+        ],
+        ids=["version-string", "version-strings", "version-float", "version-bool",
+             "version-empty", "version-null", "bytes-float", "bytes-string", "bytes-bool"],
+    )
+    def test_header_numbers_are_checked(self, tmp_path, field, bad):
+        # the header is outside the checksum, so only the first line changes
+        path = tmp_path / "s.lgrsnap"
+        save_snapshot(build_state(n_nodes=2, n_captions=1), path)
+        line, rest = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        assert load_snapshot(path).format_version == FORMAT_VERSION
+        header[field] = bad(header[field])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        with pytest.raises(SnapshotError, match=f"bad snapshot header: {field} must be"):
+            load_snapshot(path)
+
     def test_mistyped_payload_section_refused(self, tmp_path):
         state = build_state(n_nodes=2, n_captions=1)
         path = tmp_path / "s.lgrsnap"

@@ -13,7 +13,6 @@ from lgr import (
     LogRecord,
     Pose,
     Router,
-    ScriptedPlanner,
     load_snapshot,
     t_position,
     t_semantic,
@@ -22,6 +21,7 @@ from lgr import (
 )
 from lgr.cli import main
 from lgr.tools import TOOLS
+from worlds import ScriptedPlanner
 
 ARGS = {
     "t_semantic": {"query": "hydrant", "k": 4},
