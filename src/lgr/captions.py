@@ -49,7 +49,7 @@ class CaptionStore(RowStore):
     """Flat scan store with the same writer/reader contract as the graph."""
 
     _ITEM, _ID, _WHAT = CaptionRecord, "record_id", "caption record"
-    _REST, _NAMES = ("time",), ROWS
+    _REST, _NAMES = ("time",), ROWS + ("uid",)
 
     record_count = RowStore.__len__
     get_record = RowStore._get

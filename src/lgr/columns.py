@@ -3,27 +3,27 @@
 Both stores keep one row per item in columns, and nowhere else: float64
 x, y, z, yaw and time, int64 ids, an int64 index into the store's text
 table (which holds each label or caption once), the graph's first_seen
-and obs_count, and float32 embeddings (the stored vectors, exactly). An
-item or a hit is built from its row when it is asked for. Rows stay in
-ascending id order, so a row is found from its id by binary search and
-the row order doubles as the id order.
+and obs_count, an int64 ``uid`` (the row's stored vector), and float32
+embeddings (the stored vectors, exactly). An item or a hit is built from
+its row when it is asked for. Rows stay in ascending id order, so a row
+is found from its id by binary search and the row order doubles as the
+id order.
 
 The embeddings are interned: a list of float32 chunks that are never
-reallocated holds each stored vector once, and once two rows share a
-vector, a per-row ``uid`` column points each row at its vector. Append
-looks the incoming float32 bytes up by hash and checks a hit byte for
-byte (so ``-0.0`` and ``0.0`` stay apart); a repeat reuses the stored
-vector. A robot that keeps seeing the same objects writes the same
-caption and label again, so most appended vectors repeat. A restored
-store's first chunk is its whole embedding block: a loaded snapshot's
-read-only block (with its ``uid`` column, if it has one) is adopted as it
-is, and ``restore`` copies the items' vectors into one, one vector per
-row. Restored vectors are not hashed: hashing costs as much as the rest
-of a 100k-row restore, so only appended vectors are looked up. Appended
-vectors fill chunks of ``_CHUNK`` vectors, allocated when the first one
-lands in them. An item's embedding is a read-only view of its vector's
-chunk row; it is fixed at creation, and a graph update rewrites only x,
-y, z, time and obs_count.
+reallocated holds each stored vector once, and each row's ``uid`` points
+at its vector. Append looks the incoming float32 bytes up by hash and
+checks a hit byte for byte (so ``-0.0`` and ``0.0`` stay apart); a
+repeat reuses the stored vector. A robot that keeps seeing the same
+objects writes the same caption and label again, so most appended
+vectors repeat. A restored store's first chunk is its whole embedding
+block: a loaded snapshot's read-only block is adopted as it is, with its
+``uid`` column, and ``restore`` copies the items' vectors into one, one
+vector per row. Restored vectors are not hashed: hashing costs as much
+as the rest of a 100k-row restore, so only appended vectors are looked
+up. Appended vectors fill chunks of ``_CHUNK`` vectors, allocated when
+the first one lands in them. An item's embedding is a read-only view of
+its vector's chunk row; it is fixed at creation, and a graph update
+rewrites only x, y, z, time and obs_count.
 
 Cosine scores are the clipped float64 dot products of the stored vectors
 with the query, computed with ``row_dots``. A scan gets them by filter
@@ -31,10 +31,9 @@ and refine: it scores every stored vector in float32 (BLAS, chunk by
 chunk into one score vector, the query rounded to float32), keeps the
 vectors whose float32 score is within a proven error bound of the cut,
 and rescores only those in float64, gathered from their chunks. Rows take
-their vector's score. ``row_dots`` bits depend only on row content, so
-the refined scores, ids and order are the same as a full float64 scan
-over every row would give. A store whose rows all hold their own vector
-scans its rows directly, with no per-row gather.
+their vector's score through ``uid``. ``row_dots`` bits depend only on row
+content, so the refined scores, ids and order are the same as a full
+float64 scan over every row would give.
 """
 
 from __future__ import annotations
@@ -122,10 +121,9 @@ class Columns:
     used vector, and no chunk is ever reallocated or written twice, so
     views of its rows stay valid. The first chunk of a restored store is
     its whole embedding block; each later one holds ``_CHUNK`` vectors.
-    ``uid`` is None while row i holds vector i; once a vector is shared,
     ``uid[row]`` is the row's vector. ``texts`` holds each distinct text
     once, and the ``text`` column indexes it. The row columns (``names``)
-    and ``uid`` grow by doubling. Chunk rows and capacity beyond what is used
+    grow by doubling. Chunk rows and capacity beyond what is used
     come from ``np.empty`` and are never written until something lands
     there, so unused headroom costs no resident memory. ``_index`` maps the
     hash of each appended vector's bytes to the vector; it holds no bytes.
@@ -142,7 +140,6 @@ class Columns:
         self.names = names
         for name in names:
             setattr(self, name, np.empty(capacity, column_dtype(name)))
-        self.uid: np.ndarray | None = None
         self.texts: list[str] = []
         self._text_ids: dict[str, int] = {}
         self._index: dict[int, int] = {}
@@ -172,11 +169,7 @@ class Columns:
         h = hash(key)
         u = self._index.get(h)
         e = None if u is None else self._vector(u)
-        if e is not None and e.tobytes() == key:  # byte for byte: -0.0 and 0.0 stay apart
-            if self.uid is None:  # the first shared vector: row i held vector i so far
-                self.uid = np.empty(self.ids.shape[0], np.int64)
-                self.uid[:row] = np.arange(row)
-        else:
+        if e is None or e.tobytes() != key:  # byte for byte: -0.0 and 0.0 stay apart
             u = self.distinct
             if not self.chunks or u == self.starts[-1] + self.chunks[-1].shape[0]:
                 self.chunks.append(np.empty((_CHUNK, self.dim), np.float32))
@@ -186,12 +179,11 @@ class Columns:
             self.bound_norms(float(np.dot(e, e)))
             self._index.setdefault(h, u)  # a hash collision leaves the later vector unindexed
             self.distinct = u + 1
-        if self.uid is not None:
-            self.uid[row] = u
         text_id = self._text_ids.setdefault(text, len(self.texts))
         if text_id == len(self.texts):
             self.texts.append(text)
-        self.write(row, ids=id_, text=text_id, x=pose.x, y=pose.y, z=pose.z, yaw=pose.yaw, **values)
+        self.write(row, ids=id_, text=text_id, x=pose.x, y=pose.y, z=pose.z, yaw=pose.yaw,
+                   uid=u, **values)
         self.size = row + 1
 
     def _vector(self, u: int) -> np.ndarray:
@@ -236,7 +228,7 @@ class Columns:
         k rows or no bound holds.
         """
         q64 = check_dim(q, self.dim)
-        n, uid = self.size, self.uid
+        n = self.size
         rows = None
         if 1 <= k < n:
             eps = self._eps(q64)
@@ -245,7 +237,7 @@ class Columns:
                 j = min(k, s32.shape[0]) - 1
                 kth = -np.partition(-s32, j)[j]
                 keep = s32 >= np.nextafter(float(kth) - 2.0 * eps, -np.inf)
-                rows = np.flatnonzero(keep if uid is None else keep[uid[:n]])
+                rows = np.flatnonzero(keep[self.uid[:n]])
         if rows is None:
             rows = np.arange(n)
         s = self._row_scores(rows, q64)
@@ -255,23 +247,21 @@ class Columns:
     def cosine_above(self, q, floor: float, mask: np.ndarray) -> np.ndarray:
         """Rows in ``mask`` whose cosine score is strictly above ``floor``.
 
-        ``mask`` is consumed. Only rows whose vector's float32 score is at
-        least ``floor`` less the bound are rescored, or every masked row
-        when no bound holds.
+        Only masked rows whose vector's float32 score is at least ``floor``
+        less the bound are rescored, or every masked row when no bound
+        holds. Only the masked rows' ``uid`` are read.
         """
         q64 = check_dim(q, self.dim)
+        rows = np.flatnonzero(mask)
         eps = self._eps(q64)
         if eps < 1.0:
             keep = self._scores32(q64) >= np.nextafter(floor - eps, -np.inf)
-            mask &= keep if self.uid is None else keep[self.uid[: self.size]]
-        rows = np.flatnonzero(mask)
+            rows = rows[keep[self.uid[rows]]]
         return rows[self._row_scores(rows, q64) > floor]
 
     def _row_scores(self, rows: np.ndarray, q64: np.ndarray) -> np.ndarray:
         """Clipped float64 scores of ascending ``rows``; each distinct
         vector they hold is rescored once."""
-        if self.uid is None:
-            return self._refine(rows, q64)
         held = self.uid[rows]
         hit = np.zeros(self.distinct, bool)
         hit[held] = True
@@ -344,15 +334,13 @@ class Columns:
         return rows, s[rows]
 
     def _grow(self, capacity: int) -> None:
-        """Move the row columns and the uid column to ``capacity`` rows,
-        copying only used rows."""
+        """Move the row columns to ``capacity`` rows, copying only used rows."""
         n = self.size
-        for name in (*self.names, "uid"):
+        for name in self.names:
             old = getattr(self, name)
-            if old is not None:
-                new = np.empty(capacity, old.dtype)
-                new[:n] = old[:n]
-                setattr(self, name, new)
+            new = np.empty(capacity, old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
 
 
 def _column(objs: list, name: str, dtype) -> np.ndarray:
@@ -407,7 +395,7 @@ class RowStore:
 
     _ITEM: type
     _REST: tuple[str, ...]
-    _NAMES: tuple[str, ...]  # its row columns: every store's, then its own
+    _NAMES: tuple[str, ...]  # its row columns, in file order: every store's, its own, then uid
     _ID: str
     _WHAT: str
 
@@ -447,19 +435,18 @@ class RowStore:
         cols = self._cols
         ids, text, x, y, z, yaw, *rest = cols.gather(rows, _HEAD + self._REST)
         texts = map(cols.texts.__getitem__, text)
-        vectors = map(cols._vector, (rows if cols.uid is None else cols.uid[rows]).tolist())
+        vectors = map(cols._vector, cols.uid[rows].tolist())
         return list(map(self._ITEM, ids, texts, vectors, map(Pose, x, y, z, yaw), *rest))
 
-    def _export(self) -> tuple[dict, list[str], list[np.ndarray], np.ndarray | None]:
+    def _export(self) -> tuple[dict, list[str], list[np.ndarray]]:
         """Copies of the used rows of every row column by name, the text
-        table, the float32 blocks of the stored vectors, and each row's
-        vector (None when row i holds vector i), taken under one lock."""
+        table and the float32 blocks of the stored vectors, taken under one
+        lock."""
         with self._lock:
             cols = self._cols
             n = cols.size
-            uid = None if cols.uid is None else cols.uid[:n]
             values = {c: getattr(cols, c)[:n].copy() for c in cols.names}
-            return values, cols.texts[:], cols.blocks(), uid
+            return values, cols.texts[:], cols.blocks()
 
     def vector_count(self) -> int:
         """Distinct stored vectors; ``len(self)`` less the rows that share one."""
@@ -497,15 +484,16 @@ class RowStore:
         return cls._restore(cfg, values, index, next_id, block)
 
     @classmethod
-    def _restore(cls, cfg: Config, values: dict, index, next_id: int | None, block, uid=None):
+    def _restore(cls, cfg: Config, values: dict, index, next_id: int | None, block):
         """A store whose row columns are ``values`` by name, which adopts
         ``block`` (a read-only (m, dim) float32 array) as its first chunk.
-        Row i holds block row i, or with ``uid`` block row ``uid[i]``.
-        ``values["text"]`` holds each row's number in ``index`` (each
-        distinct text's number, in order), or with ``index`` None the row's
-        text, which is interned. Rows out of id order are sorted, with
-        ``uid``, or with no ``uid`` with one sorted copy of the block. The
-        columns get as much headroom as rows."""
+        Row i holds block row ``values["uid"][i]``, or with no ``uid``
+        block row i. ``values["text"]`` holds each row's number in
+        ``index`` (each distinct text's number, in order), or with
+        ``index`` None the row's text, which is interned. Rows out of id
+        order are sorted with their ``uid``, or with no ``uid`` with one
+        sorted copy of the block. The columns get as much headroom as
+        rows."""
         ids = values["ids"]
         if not np.all(ids[1:] > ids[:-1]):
             order = np.argsort(ids, kind="stable")
@@ -513,9 +501,7 @@ class RowStore:
             for c, v in values.items():
                 values[c] = [v[i] for i in rows] if isinstance(v, list) else v[order]
             ids = values["ids"]
-            if uid is not None:
-                uid = uid[order]
-            else:
+            if "uid" not in values:
                 block = block[order]
                 block.flags.writeable = False
         dup = ids[1:][ids[1:] == ids[:-1]]
@@ -529,13 +515,11 @@ class RowStore:
             raise ValueError(f"next_id {next_id} must be >= 1 and above the largest id {top}")
         if index is None:
             values["text"], index = _intern(values["text"], n)
+        values.setdefault("uid", np.arange(n))
         store = cls(cfg)
         store._next_id = next_id
         cols = store._cols = Columns(cfg.embedding_dim, n + max(_GROW, n), cls._NAMES)
         cols.adopt(block)
-        if uid is not None:
-            cols.uid = np.empty_like(cols.ids)
-            cols.uid[:n] = uid
         for name in cols.names:
             getattr(cols, name)[:n] = values[name]
         cols.texts, cols._text_ids = list(index), index

@@ -53,6 +53,10 @@ class QAItem:
             raise ValueError("spatial items need gt_pose")
         if self.kind == "temporal" and self.gt_time is None:
             raise ValueError("temporal items need gt_time")
+        if self.gt_pose is not None and not self.gt_pose.is_finite():
+            raise ValueError(f"gt_pose must be finite, got {self.gt_pose}")
+        if self.gt_time is not None and not (math.isfinite(self.gt_time) and self.gt_time >= 0):
+            raise ValueError(f"gt_time must be finite and non-negative, got {self.gt_time}")
 
     def to_json_dict(self) -> dict:
         """The fields by name, ``gt_pose`` a nested dict or None: one

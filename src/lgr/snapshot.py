@@ -6,12 +6,13 @@ SHA-256), then the payload: the meta JSON (config, provider, stats and,
 per store, ``next_id``, its row count ``rows``, its count of stored
 vectors ``vectors`` and its text table ``texts``), each store's row
 columns (the graph's, then the caption store's), and each store's vector
-block. A store's columns are ``ids``, ``x``, ``y``, ``z``, ``yaw``,
-``time`` and ``text`` (an index into ``texts``), the graph's
-``first_seen`` and ``count`` (obs_count), then ``uid``, the row of the
-store's block that holds the row's embedding: ``rows * 8`` bytes each,
-little-endian int64 (ids, text, count, uid) or float64. A block holds the
-store's distinct stored vectors as row-major little-endian float32
+block. A store's columns are its ``_NAMES``, as it holds them in memory:
+``ids``, ``x``, ``y``, ``z``, ``yaw``, ``time`` and ``text`` (an index
+into ``texts``), the graph's ``first_seen`` and ``count`` (obs_count),
+then ``uid``, the row of the store's block that holds the row's
+embedding: ``rows * 8`` bytes each, little-endian int64 (ids, text,
+count, uid) or float64. A block holds the store's distinct stored
+vectors as row-major little-endian float32
 (``vectors * embedding_dim * 4`` bytes), so a shared vector is written
 once, and retrieval is bit-identical across a save/load round trip.
 
@@ -27,9 +28,9 @@ hashing: the second buffer is the only copy of the embeddings. Older formats
 still load: 2.1 (each item's fields in the meta, then the ``uid``
 columns and blocks), 2.0 (no ``uid`` columns: one vector per item) and
 1.x (one JSON document, base64 vectors inline, decoded straight into one
-block per store). Their fields are checked as they fill the columns; an
-out-of-order 2.0 or 1.x file costs one sorted copy of its block. Saves
-always write the current format.
+block per store); in both, row i holds vector i. Their fields are
+checked as they fill the columns; an out-of-order 2.0 or 1.x file costs
+one sorted copy of its block. Saves always write the current format.
 """
 
 from __future__ import annotations
@@ -107,19 +108,21 @@ def provider_to_spec(provider: EmbeddingProvider) -> dict:
     )
 
 
-def provider_from_spec(spec: dict) -> EmbeddingProvider:
-    """The provider a spec names; its seeds and ``dim`` must be JSON
-    integers, else ValueError."""
+def provider_from_spec(spec: dict, dim: int) -> EmbeddingProvider:
+    """The provider a spec names, of the config's dimension ``dim``; its
+    seeds and ``dim`` must be JSON integers, else ValueError. The spec's
+    ``dim`` is checked before a provider of that size is built."""
     kind = spec.get("kind")
+    if kind not in ("hash", "fixture"):
+        raise SnapshotError(f"unknown provider kind: {kind!r}")
+    spec_dim = json_number(spec["dim"], "dim", Integral)
+    if spec_dim != dim:
+        raise ValueError(f"provider dim {spec_dim} != config embedding_dim {dim}")
     if kind == "hash":
-        seed = json_number(spec["seed"], "seed", Integral)
-        return HashProvider(seed=seed, dim=json_number(spec["dim"], "dim", Integral))
-    if kind == "fixture":
-        dim = json_number(spec["dim"], "dim", Integral)
-        table = {text: decode_vector(data) for text, data in spec["table"].items()}
-        seed = json_number(spec["fallback_seed"], "fallback_seed", Integral)
-        return FixtureProvider(table, fallback=HashProvider(seed=seed, dim=dim), dim=dim)
-    raise SnapshotError(f"unknown provider kind: {kind!r}")
+        return HashProvider(seed=json_number(spec["seed"], "seed", Integral), dim=dim)
+    table = {text: decode_vector(data) for text, data in spec["table"].items()}
+    seed = json_number(spec["fallback_seed"], "fallback_seed", Integral)
+    return FixtureProvider(table, fallback=HashProvider(seed=seed, dim=dim), dim=dim)
 
 
 def _entry_columns(store: type[RowStore], entries: list) -> dict:
@@ -180,11 +183,11 @@ def save_snapshot(state: SessionState, path: str | Path) -> None:
     meta["stats"] = state.stats.to_dict()
     columns, blocks = [], []
     for key, store in (("graph", state.graph), ("captions", state.captions)):
-        values, texts, store_blocks, uid = store._export()
+        values, texts, store_blocks = store._export()
         n = len(values["ids"])
         vectors = sum(b.shape[0] for b in store_blocks)
         meta[key] = {"next_id": store.next_id, "rows": n, "vectors": vectors, "texts": texts}
-        columns += [*values.values(), np.arange(n, dtype=np.int64) if uid is None else uid]
+        columns += values.values()
         blocks += store_blocks
     columns = [c.astype(c.dtype.newbyteorder("<"), copy=False) for c in columns]
     body = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -264,7 +267,7 @@ def _layout(payload: dict, version: list[int]) -> tuple[list, list | None, list]
         vectors = [json_number(s["vectors"], "vectors", Integral) for s in sections]
     if version >= [2, 2]:
         counts = [json_number(s["rows"], "rows", Integral) for s in sections]
-        names = [(*store._NAMES, "uid") for store, _ in _KINDS]
+        names = [store._NAMES for store, _ in _KINDS]
     else:
         counts = [len(s[key]) for s, (_, key) in zip(sections, _KINDS)]
         names = [("uid",) if vectors else ()] * 2
@@ -294,11 +297,11 @@ def _read_meta(meta: bytes, version: list[int], limit: int) -> tuple[dict | None
 
 def _split_blocks(columns: np.ndarray, blocks: np.ndarray, dim: int, counts: list,
                   vectors: list | None, names, path):
-    """Per store (graph, then records): its row columns by name, its
-    read-only float32 vector block and its ``uid`` column (None where row
-    i holds vector i). ``columns`` holds each store's columns ``names``,
-    8 bytes per row each, and ``blocks`` each store's vectors: ``vectors``
-    of them, or one per row in a 2.0 file (``vectors`` None)."""
+    """Per store (graph, then records): its row columns by name (with its
+    ``uid`` column, if the file has one) and its read-only float32 vector
+    block. ``columns`` holds each store's columns ``names``, 8 bytes per
+    row each, and ``blocks`` each store's vectors: ``vectors`` of them, or
+    one per row in a 2.0 file (``vectors`` None)."""
     col_bytes = _column_bytes(counts, names)
     vectors = vectors or counts
     expected = col_bytes + sum(vectors) * dim * 4
@@ -320,7 +323,7 @@ def _split_blocks(columns: np.ndarray, blocks: np.ndarray, dim: int, counts: lis
             column = columns[at : at + 8 * n].view(dtype.newbyteorder("<"))
             values[name] = column.astype(dtype, copy=False)
             at += 8 * n
-        u = values.pop("uid", None)
+        u = values.get("uid")
         if u is not None:
             outside = u.size and (u.min() < 0 or u.max() >= m)
             if outside or np.count_nonzero(np.bincount(u, minlength=m)) != m:
@@ -328,9 +331,7 @@ def _split_blocks(columns: np.ndarray, blocks: np.ndarray, dim: int, counts: lis
                     f"{path}: the {what} uid column must use each of its {m} stored "
                     f"vectors and no other"
                 )
-            if m == n and np.array_equal(u, np.arange(n)):
-                u = None  # one vector per item, in item order
-        out.append((values, emb[lo : lo + m], u))
+        out.append((values, emb[lo : lo + m]))
         lo += m
     return out
 
@@ -384,23 +385,23 @@ def load_snapshot(path: str | Path) -> SessionState:
         if payload is None:
             payload = json.loads(meta.decode("utf-8"))  # raises what made _read_meta give up
         cfg = Config.from_dict(payload["config"])
-        provider = provider_from_spec(payload["provider"])
-        sections = payload["graph"], payload["captions"]
         dim = cfg.embedding_dim
+        provider = provider_from_spec(payload["provider"], dim)
+        sections = payload["graph"], payload["captions"]
         if version[0] < 2:
-            parts = [({}, _decode_block(s[key], dim), None) for s, (_, key) in zip(sections, _KINDS)]
+            parts = [({}, _decode_block(s[key], dim)) for s, (_, key) in zip(sections, _KINDS)]
         else:
             counts, vectors, names = _layout(payload, version)
             parts = _split_blocks(columns, blocks, dim, counts, vectors, names, path)
         stores = []
-        for (store, key), s, (values, block, uid) in zip(_KINDS, sections, parts):
+        for (store, key), s, (values, block) in zip(_KINDS, sections, parts):
             table = s["texts"] if version >= [2, 2] else None
             if table is None:
                 values.update(_entry_columns(store, s[key]))
             _check_rows(values, table, store._WHAT)
             index = None if table is None else dict(zip(table, count()))
             next_id = json_number(s["next_id"], "next_id", Integral)
-            stores.append(store._restore(cfg, values, index, next_id, block, uid))
+            stores.append(store._restore(cfg, values, index, next_id, block))
         graph, captions = stores
         stats = SessionStats.from_dict(payload.get("stats", {}))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

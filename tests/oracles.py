@@ -348,6 +348,10 @@ def _strict_qa_item(obj):
         pose = _strict_pose(p, "gt_pose")
     t = obj.get("gt_time")
     gt_time = None if t is None else _strict_number(t, "gt_time")
+    if pose is not None and not all(math.isfinite(v) for v in (pose.x, pose.y, pose.z, pose.yaw)):
+        raise ValueError(f"gt_pose must be finite, got {pose}")
+    if gt_time is not None and not (math.isfinite(gt_time) and gt_time >= 0):
+        raise ValueError(f"gt_time must be finite and non-negative, got {gt_time}")
     if kind == "spatial" and pose is None:
         raise ValueError("a spatial item needs gt_pose")
     if kind == "temporal" and gt_time is None:

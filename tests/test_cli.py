@@ -247,6 +247,24 @@ class TestEvalAndStats:
         assert err.startswith(f"error: {qa}:1: bad QA item")
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"question": "q", "kind": "spatial", "gt_pose": {"x": NaN, "y": 0}}',
+            '{"question": "q", "kind": "temporal", "gt_time": -5}',
+            '{"question": "q", "kind": "temporal", "gt_time": Infinity}',
+        ],
+        ids=["pose-x-nan", "time-negative", "time-inf"],
+    )
+    def test_eval_refuses_ground_truth_it_cannot_score(self, tmp_path, snapshot, capsys, line):
+        # were an error naming no line, or an exit 0 printing Infinity
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text(line + "\n")
+        code, out, err = run(capsys, "eval", snapshot, qa)
+        assert code == 1
+        assert err.startswith(f"error: {qa}:1: bad QA item")
+        assert "Traceback" not in out + err
+
     def test_eval_table_format(self, tmp_path, snapshot, capsys):
         qa = tmp_path / "qa.jsonl"
         save_qa_items([QAItem("where is the bench?", "spatial", gt_pose=Pose(5, 0))], qa)

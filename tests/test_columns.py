@@ -362,8 +362,7 @@ def test_cosine_tools_equal_full_float64_scan(dim, n, seed, mode, log_norm, grow
     for store in (g, c):  # the filter's bound holds row by row
         cols = store._cols
         eps, s32 = cols._eps(q), cols._scores32(q)  # one float32 score per stored vector
-        if cols.uid is not None:
-            s32 = s32[cols.uid[:n]]
+        s32 = s32[cols.uid[:n]]
         assert eps < 1.0 and np.all(np.abs(s32 - full_scan(emb, q)) <= eps)
     ks = {1, n, n + 1, n + 2, data.draw(st.integers(1, n + 2))} - {0}
     for k in sorted(ks):
@@ -622,7 +621,7 @@ def check_interned(store, emb: np.ndarray, restored: int) -> None:
     for row in emb[restored:]:
         first.setdefault(row.tobytes(), len(first))
     assert cols.distinct == sum(b.shape[0] for b in cols.blocks()) == restored + len(first)
-    uid = np.arange(cols.size) if cols.uid is None else cols.uid[: cols.size]
+    uid = cols.uid[: cols.size]
     assert np.array_equal(uid[:restored], np.arange(restored))
     # appended vectors are numbered after the restored ones, in order of
     # first appearance
@@ -701,12 +700,9 @@ def test_interned_stores_equal_oracles(chunk, restored, appended, seed, data):
         assert after.vector_count() == before.vector_count()
         assert [it.embedding.tobytes() for it in after._all()] == [r.tobytes() for r in emb]
         cols = after._cols
-        if before._cols.uid is None:
-            assert cols.uid is None
-        else:
-            assert np.array_equal(cols.uid[:n], before._cols.uid[:n])
-            for row, item in enumerate(after._all()):  # items are views of their vector
-                assert np.shares_memory(item.embedding, cols._vector(int(cols.uid[row])))
+        assert np.array_equal(cols.uid[:n], before._cols.uid[:n])
+        for row, item in enumerate(after._all()):  # items are views of their vector
+            assert np.shares_memory(item.embedding, cols._vector(int(cols.uid[row])))
     check_cosine_and_gate(loaded.graph, loaded.captions, emb, pos, queries, ks, cfg)
     for k in (1, n + 2):
         check_graph_tools(loaded.graph, k, rng)
@@ -757,12 +753,13 @@ def test_interned_scans_rescore_only_candidate_vectors(monkeypatch):
     assert len(rescored) == 3 and max(rescored) <= 20, rescored
 
 
-def test_stores_with_no_shared_vector_scan_rows_directly(cfg64):
-    # no uid column, so no per-row gather: the scans touch rows as before
+def test_stores_with_no_shared_vector_hold_row_i_in_vector_i(cfg64):
+    # restored and appended rows with distinct vectors: row i holds vector i
     n = 50
     emb = unit_rows(n, DIM, seed=51)
     pos = np.column_stack([100.0 * np.arange(n), np.zeros(n), np.zeros(n)])
     g, c = stores_of(cfg64, emb, pos, restored=20)
     for store in (g, c):
-        assert store._cols.uid is None and store.vector_count() == len(store) == n
+        assert np.array_equal(store._cols.uid[:n], np.arange(n))
+        assert store.vector_count() == len(store) == n
         check_one_float32_column(store)

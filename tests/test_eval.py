@@ -93,9 +93,16 @@ class TestQAItems:
             # integers too large for a float: were an OverflowError
             '{"question": "q", "kind": "spatial", "gt_pose": {"x": 1%s, "y": 1.0}}' % ("0" * 400),
             '{"question": "q", "kind": "temporal", "gt_time": 1%s}' % ("0" * 400),
+            # ground truth that cannot be scored: loaded, then failed or scored as NaN
+            '{"question": "q", "kind": "spatial", "gt_pose": {"x": NaN, "y": 0}}',
+            '{"question": "q", "kind": "spatial", "gt_pose": {"x": 0, "y": 0, "yaw": -Infinity}}',
+            '{"question": "q", "kind": "temporal", "gt_time": -5}',
+            '{"question": "q", "kind": "temporal", "gt_time": Infinity}',
+            '{"question": "q", "kind": "descriptive", "gt_time": NaN}',
         ],
         ids=["spatial-without-pose", "list", "pose-is-a-number", "pose-x-null", "pose-x-huge",
-             "time-huge"],
+             "time-huge", "pose-x-nan", "pose-yaw-neg-inf", "time-negative", "time-inf",
+             "time-nan"],
     )
     def test_bad_line_reports_position(self, tmp_path, line):
         path = tmp_path / "qa.jsonl"
@@ -157,12 +164,14 @@ def _read_qa(reader, path):
 @given(
     at=st.integers(0, 2),
     field=st.sampled_from(QA_FIELDS),
-    how=st.sampled_from(("swap", "drop", "nest", "truncate", "huge")),
+    how=st.sampled_from(("swap", "drop", "nest", "truncate", "huge", "special")),
     value=JSON_VALUES,
+    special=st.sampled_from((math.nan, math.inf, -math.inf, -5.0, -0.0)),
     flag=st.booleans(),
     cut=st.floats(0.0, 1.0),
 )
-def test_mutated_qa_line_is_read_as_the_strict_reader_reads_it(at, field, how, value, flag, cut):
+def test_mutated_qa_line_is_read_as_the_strict_reader_reads_it(at, field, how, value, special,
+                                                               flag, cut):
     """A QA file of three lines, one of them mutated: ``load_qa_items``
     returns what the strict reader accepts, or raises ValueError naming
     the line where it fails, and never any other type."""
@@ -180,6 +189,8 @@ def test_mutated_qa_line_is_read_as_the_strict_reader_reads_it(at, field, how, v
         holder[key] = [holder[key]] if flag else {"v": holder[key]}
     elif how == "huge":  # a JSON integer too large for a float
         holder[key] = 10**400 if flag else -(10**400)
+    elif how == "special":  # NaN, an infinity or a negative number
+        holder[key] = special
     else:
         text = json.dumps(line)
         lines[at] = text[: int(cut * (len(text) - 1))]

@@ -1,6 +1,7 @@
 """A whole session as a state machine: ingest, the six tools, save and
 load, and restore, interleaved, on stores whose appended vectors span
-several small chunks and repeat (so rows share them).
+several small chunks and repeat (so rows share them), with each row's
+``uid`` checked as a load checks a file's.
 
 Every tool is called through ``TOOLS`` and checked against the full-scan
 ``rank_*`` oracles over the items the stores return, and the ingest gate
@@ -58,7 +59,33 @@ def values(items) -> list[dict]:
 
 def stored_vector(store, row: int) -> np.ndarray:
     cols = store._cols
-    return cols._vector(row if cols.uid is None else int(cols.uid[row]))
+    return cols._vector(int(cols.uid[row]))
+
+
+def check_store(store, ingest_only: bool = False) -> None:
+    """A store's invariants: ids ascend below ``next_id``, ``norm_bound``
+    covers every stored vector, each item's embedding is a read-only copy
+    of its row's stored vector, and the ``uid`` column uses each stored
+    vector and no other. A store built by ingest alone (``ingest_only``)
+    holds each distinct vector once; no hash collides among the few
+    vectors of the sessions checked here."""
+    items = store._all()
+    ids = [getattr(it, store._ID) for it in items]
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+    assert store.next_id > max(ids, default=0)
+    assert store.vector_count() <= len(store) == len(items)
+    cols = store._cols
+    for block in cols.blocks():
+        norms = np.linalg.norm(block.astype(np.float64), axis=1)
+        assert not norms.size or norms.max() <= cols.norm_bound
+    for row, it in enumerate(items):
+        assert not it.embedding.flags.writeable
+        assert it.embedding.tobytes() == stored_vector(store, row).tobytes()
+    # the check a load makes on a file's uid column, made on the live store
+    m = store.vector_count()
+    assert np.array_equal(np.unique(cols.uid[: len(items)]), np.arange(m))
+    distinct = len({it.embedding.tobytes() for it in items})
+    assert distinct == m if ingest_only else distinct <= m
 
 
 class Session(RuleBasedStateMachine):
@@ -74,6 +101,7 @@ class Session(RuleBasedStateMachine):
         self.frames = 0
         self.captions: list[tuple] = []  # (id, text, pose, time, vector bytes)
         self.sightings: dict[int, list] = {}  # node id: (x, y, z, time, yaw) of each
+        self.ingest_only = True  # no load or restore yet: every stored vector was hashed
 
     def teardown(self):
         self._chunk.stop()
@@ -201,6 +229,7 @@ class Session(RuleBasedStateMachine):
             assert after.next_id == before.next_id
             assert after.vector_count() <= before.vector_count()
         self.state = loaded
+        self.ingest_only = False
 
     @rule()
     def restore(self):
@@ -211,6 +240,7 @@ class Session(RuleBasedStateMachine):
         )
         assert values(self.state.graph.all_nodes()) == values(graph.all_nodes())
         assert values(self.state.captions.all_records()) == values(captions.all_records())
+        self.ingest_only = False
 
     @invariant()
     def captions_match_the_model(self):
@@ -234,18 +264,7 @@ class Session(RuleBasedStateMachine):
     @invariant()
     def stores_are_consistent(self):
         for store in (self.state.graph, self.state.captions):
-            items = store._all()
-            ids = [getattr(it, store._ID) for it in items]
-            assert all(a < b for a, b in zip(ids, ids[1:]))
-            assert store.next_id > max(ids, default=0)
-            assert store.vector_count() <= len(store) == len(items)
-            cols = store._cols
-            for block in cols.blocks():
-                norms = np.linalg.norm(block.astype(np.float64), axis=1)
-                assert not norms.size or norms.max() <= cols.norm_bound
-            for row, it in enumerate(items):
-                assert not it.embedding.flags.writeable
-                assert it.embedding.tobytes() == stored_vector(store, row).tobytes()
+            check_store(store, self.ingest_only)
 
 
 Session.TestCase.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import re
 import shutil
 import stat
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DIM, random_graph, unit_rows
 from lgr import (
@@ -37,6 +41,7 @@ from lgr import (
 from lgr.cli import main
 from lgr.logio import decode_vector, encode_vector
 from lgr.snapshot import FORMAT_VERSION, provider_from_spec, provider_to_spec
+from test_session_machine import check_store
 
 
 def build_state(seed: int = 17, n_nodes: int = 40, n_captions: int = 25) -> SessionState:
@@ -358,7 +363,9 @@ class TestInternedLayout:
         loaded = load_snapshot(path)
         assert ".".join(map(str, loaded.format_version)) == version
         for before, after in ((state.graph, loaded.graph), (state.captions, loaded.captions)):
-            assert after._cols.uid is None and after.vector_count() == len(after)
+            n = len(after)
+            assert np.array_equal(after._cols.uid[:n], np.arange(n))
+            assert after.vector_count() == n
             assert items_of(after) == items_of(before)
         assert query_fingerprint(loaded) == query_fingerprint(state)
         assert tied_fingerprint(loaded) == tied_fingerprint(state)
@@ -579,8 +586,7 @@ def write_v2_1(state: SessionState, path) -> None:
             del it["embedding"]
         cols = store._cols
         payload[section]["vectors"] = cols.distinct
-        uid = np.arange(cols.size) if cols.uid is None else cols.uid[: cols.size]
-        uids.append(uid.astype("<i8").tobytes())
+        uids.append(cols.uid[: cols.size].astype("<i8").tobytes())
         blocks += [b.astype("<f4").tobytes() for b in cols.blocks()]
     meta = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     header = {"format": "lgr-snapshot", "version": [2, 1], "meta_bytes": len(meta)}
@@ -779,12 +785,12 @@ class TestCorruption:
 class TestProviderSpec:
     def test_hash_round_trip(self):
         provider = HashProvider(seed=42, dim=DIM)
-        clone = provider_from_spec(provider_to_spec(provider))
+        clone = provider_from_spec(provider_to_spec(provider), DIM)
         assert np.array_equal(clone.embed("x"), provider.embed("x"))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SnapshotError, match="unknown provider"):
-            provider_from_spec({"kind": "martian"})
+            provider_from_spec({"kind": "martian"}, DIM)
 
     def test_custom_provider_rejected_with_clear_error(self):
         class Weird(HashProvider.__bases__[0]):
@@ -828,7 +834,7 @@ def split_v2_2(path) -> tuple[dict, dict, dict, bytes]:
     cols, at = {}, 0
     for section, store in STORES:
         n = payload[section]["rows"]
-        for name in (*store._NAMES, "uid"):
+        for name in store._NAMES:
             dtype = "<i8" if name in ("ids", "text", "count", "uid") else "<f8"
             cols[section, name] = np.frombuffer(blocks[at : at + 8 * n], dtype).copy()
             at += 8 * n
@@ -882,8 +888,7 @@ class TestFormat22:
             for axis in ("x", "y", "z", "yaw"):
                 assert cols[section, axis].tolist() == [getattr(it.pose, axis) for it in items]
             cols_ = store._cols
-            uid = np.arange(cols_.size) if cols_.uid is None else cols_.uid[: cols_.size]
-            assert cols[section, "uid"].tolist() == uid.tolist()
+            assert cols[section, "uid"].tolist() == cols_.uid[: cols_.size].tolist()
             assert meta["vectors"] == store.vector_count()
             distinct += [b.tobytes() for b in cols_.blocks()]
         assert vectors == b"".join(distinct)
@@ -992,6 +997,11 @@ def test_older_formats_refuse_mistyped_fields(tmp_path, version, key, field, val
         ({"provider": {"kind": "hash", "seed": True, "dim": DIM}}, "seed must be an integer, got True"),
         ({"provider": {"kind": "fixture", "dim": DIM, "fallback_seed": 1.0, "table": {}}},
          "fallback_seed must be an integer, got 1.0"),
+        # was loaded: route gave up and semantic failed only at query time
+        ({"provider": {"kind": "hash", "seed": 7, "dim": 8}},
+         f"provider dim 8 != config embedding_dim {DIM}"),
+        ({"provider": {"kind": "fixture", "dim": 1024, "fallback_seed": 1, "table": {}}},
+         f"provider dim 1024 != config embedding_dim {DIM}"),
         ({"stats": {"n_queries": 1, "n_vector_calls": True}}, "n_vector_calls must be an integer, got True"),
         ({"stats": {"n_queries": "4"}}, "n_queries must be an integer, got '4'"),
         ({"stats": {"latencies": ["0.1"]}}, "latencies must be a number, got '0.1'"),
@@ -1042,3 +1052,95 @@ def test_flipped_byte_in_either_binary_part_fails_checksum(tmp_path, part):
     path.write_bytes(bytes(data))
     with pytest.raises(SnapshotError, match="checksum"):
         load_snapshot(path)
+
+
+# ----------------------------------------------------------------------
+# fuzzing load_snapshot with mutated 2.2 files
+# ----------------------------------------------------------------------
+
+# integers stay small, so a drawn embedding_dim or provider dim never
+# builds a large provider
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 1024), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+@functools.cache
+def fuzz_file() -> tuple[dict, str, dict, bytes]:
+    """(header, meta JSON text, row columns by (section, name), vector
+    blocks) of a small 2.2 file whose stores share vectors."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.lgrsnap"
+        save_snapshot(repeating_state(frames=8), path)
+        header, payload, cols, vectors = split_v2_2(path)
+    return header, json.dumps(payload), cols, vectors
+
+
+def meta_paths(node, prefix=()) -> list[tuple]:
+    """The key path of every value in a JSON document, containers too."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    out = []
+    for key, value in items:
+        out.append(prefix + (key,))
+        if isinstance(value, (dict, list)):
+            out += meta_paths(value, prefix + (key,))
+    return out
+
+
+@st.composite
+def snapshot_mutations(draw) -> tuple:
+    """(how, where, value): one meta value swapped for another JSON type,
+    dropped or nested; a ``uid`` entry overwritten; or a store's ``rows``
+    or ``vectors`` changed."""
+    payload = json.loads(fuzz_file()[1])
+    how = draw(st.sampled_from(("swap", "drop", "nest", "uid", "count")))
+    section = draw(st.sampled_from(("graph", "captions")))
+    if how == "uid":
+        row = draw(st.integers(0, payload[section]["rows"] - 1))
+        m = payload[section]["vectors"]
+        return how, (section, row), draw(st.integers(-2, m + 1) | st.sampled_from((-(2**63), 2**63 - 1)))
+    if how == "count":
+        key = draw(st.sampled_from(("rows", "vectors")))
+        return how, (section, key), draw(st.integers(-2, 40) | st.just(2**62))
+    where = draw(st.sampled_from(meta_paths(payload)))
+    return how, where, draw(FUZZ_VALUES if how == "swap" else st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=snapshot_mutations())
+@example(mutation=("swap", ("provider", "dim"), 8))  # was loaded, and failed only at query time
+@example(mutation=("swap", ("config", "embedding_dim"), 1024))
+def test_mutated_snapshot_loads_whole_or_is_refused(mutation):
+    """One mutation of a valid, re-checksummed 2.2 file: the load returns
+    stores that keep every invariant, or raises SnapshotError, and never
+    any other type."""
+    how, where, value = mutation
+    header, meta, cols, vectors = fuzz_file()
+    payload, cols = json.loads(meta), {k: c.copy() for k, c in cols.items()}
+    if how == "uid":
+        cols[where[0], "uid"][where[1]] = value
+    elif how == "count":
+        payload[where[0]][where[1]] = value
+    else:
+        *parents, key = where
+        holder = payload
+        for p in parents:
+            holder = holder[p]
+        if how == "swap":
+            holder[key] = value
+        elif how == "drop":
+            del holder[key]
+        else:
+            holder[key] = [holder[key]] if value else {"v": holder[key]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.lgrsnap"
+        write_v2_2(path, header, payload, cols, vectors)
+        try:
+            state = load_snapshot(path)
+        except SnapshotError:
+            return
+    assert state.provider.dimension() == state.cfg.embedding_dim  # as SessionState.new requires
+    for store in (state.graph, state.captions):
+        check_store(store)
