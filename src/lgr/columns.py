@@ -34,6 +34,12 @@ and rescores only those in float64, gathered from their chunks. Rows take
 their vector's score through ``uid``. ``row_dots`` bits depend only on row
 content, so the refined scores, ids and order are the same as a full
 float64 scan over every row would give.
+
+The ingest gate's float32 filter is memoized per stored vector, as a
+robot sees the same labels again: a repeat query scores only the vectors
+appended since, and stored vectors never change, so it keeps what a full
+pass would. The memo is the writer's and is not saved; readers and
+``top_cosine`` never use it.
 """
 
 from __future__ import annotations
@@ -143,6 +149,9 @@ class Columns:
         self.texts: list[str] = []
         self._text_ids: dict[str, int] = {}
         self._index: dict[int, int] = {}
+        self._memo: dict[int, tuple] = {}  # the gate's float32 filter, see ``_filter``
+        self._memo_ids = 0  # kept vectors over every memo entry
+        self._pass: tuple | None = None  # the last full pass no stored vector equals
         self.norm_bound = 0.0
         # the parts of the cosine bound that depend on the dimension alone
         self._rel_err = _gamma(dim, _U32) * (1.0 + _U32) + _U32 + _gamma(dim, _U64)
@@ -179,6 +188,9 @@ class Columns:
             self.bound_norms(float(np.dot(e, e)))
             self._index.setdefault(h, u)  # a hash collision leaves the later vector unindexed
             self.distinct = u + 1
+            if self._pass is not None and self._pass[0] == key:  # the pass that created it
+                self._remember(h, (u, *self._pass[1]))
+                self._pass = None
         text_id = self._text_ids.setdefault(text, len(self.texts))
         if text_id == len(self.texts):
             self.texts.append(text)
@@ -237,10 +249,11 @@ class Columns:
                 j = min(k, s32.shape[0]) - 1
                 kth = -np.partition(-s32, j)[j]
                 keep = s32 >= np.nextafter(float(kth) - 2.0 * eps, -np.inf)
-                rows = np.flatnonzero(keep[self.uid[:n]])
+                vectors, rows = np.flatnonzero(keep), np.flatnonzero(keep[self.uid[:n]])
         if rows is None:
-            rows = np.arange(n)
-        s = self._row_scores(rows, q64)
+            vectors, rows = np.arange(self.distinct), np.arange(n)
+        # the candidates hold exactly the kept vectors: each is held by a row
+        s = self._refine(vectors, q64)[np.searchsorted(vectors, self.uid[rows])]
         top = topk(-s, self.ids[rows], k)
         return rows[top], s[top]
 
@@ -248,16 +261,66 @@ class Columns:
         """Rows in ``mask`` whose cosine score is strictly above ``floor``.
 
         Only masked rows whose vector's float32 score is at least ``floor``
-        less the bound are rescored, or every masked row when no bound
-        holds. Only the masked rows' ``uid`` are read.
+        less the bound (``_filter``) are rescored, or every masked row when
+        no bound holds. Only the masked rows' ``uid`` are read.
         """
         q64 = check_dim(q, self.dim)
         rows = np.flatnonzero(mask)
         eps = self._eps(q64)
         if eps < 1.0:
-            keep = self._scores32(q64) >= np.nextafter(floor - eps, -np.inf)
+            keep = np.zeros(self.distinct, bool)
+            keep[self._filter(q64, np.nextafter(floor - eps, -np.inf))] = True
             rows = rows[keep[self.uid[rows]]]
         return rows[self._row_scores(rows, q64) > floor]
+
+    def _filter(self, q64: np.ndarray, cut: np.float64) -> np.ndarray:
+        """The ascending stored vectors whose float32 score is at least ``cut``.
+
+        ``_memo`` maps the hash of a stored vector's bytes to (the vector,
+        the cut, how many vectors were scored, the kept vectors). A query
+        of those bytes whose cut is not below the entry's scores only the
+        vectors appended since; a higher cut gets the entry's larger set,
+        which the float64 refine settles (the gate's cut for a query only
+        falls, as ``norm_bound`` grows). Any other query scores every
+        vector and makes the entry, keyed by a kept vector it equals; if
+        none does, ``append`` makes it when it stores the query's bytes.
+        """
+        key = q64.astype(np.float32).tobytes()
+        h = hash(key)
+        e = self._memo.get(h)
+        if e is not None and cut >= e[1] and self._vector(e[0]).tobytes() == key:
+            u, cut0, m, kept = e
+            if m < self.distinct:
+                kept = np.concatenate((kept, np.flatnonzero(self._scores32(q64, m) >= cut0) + m))
+                self._remember(h, (u, cut0, self.distinct, kept))
+            return kept
+        kept = np.flatnonzero(self._scores32(q64) >= cut)
+        entry = (cut, self.distinct, kept)
+        u = self._find(kept, key)
+        if u is None:
+            self._pass = (key, entry)
+        else:
+            self._remember(h, (u, *entry))
+        return kept
+
+    def _remember(self, h: int, entry: tuple) -> None:
+        """Make ``entry`` the memo's entry for ``h``, unless the memo would then
+        keep more vectors than the store holds rows and vectors (a low cut)."""
+        old = self._memo.pop(h, None)
+        if old is not None:
+            self._memo_ids -= old[3].shape[0]
+        if self._memo_ids + entry[3].shape[0] <= self.size + self.distinct:
+            self._memo[h] = entry
+            self._memo_ids += entry[3].shape[0]
+
+    def _find(self, vectors: np.ndarray, key: bytes) -> int | None:
+        """The first of ascending ``vectors`` whose bytes are ``key``."""
+        bits = np.frombuffer(key, np.uint32)
+        for i, _, block in self._gather(vectors):
+            same = np.flatnonzero((block.view(np.uint32) == bits).all(axis=1))
+            if same.shape[0]:
+                return int(vectors[i + same[0]])
+        return None
 
     def _row_scores(self, rows: np.ndarray, q64: np.ndarray) -> np.ndarray:
         """Clipped float64 scores of ascending ``rows``; each distinct
@@ -281,41 +344,47 @@ class Columns:
         nq = math.sqrt(np.einsum("i,i", q64, q64))  # einsum: NaN or inf with no warning
         return (self._rel_err * m * nq + (1.0 + m) * self._tiny) * _ROUND_UP
 
-    def _scores32(self, q64: np.ndarray) -> np.ndarray:
-        """Clipped float32 scores of every stored vector, the query rounded
-        to float32, filled in one vector a chunk at a time. A store of one
-        chunk (one restored or loaded and not grown since, or a small one)
-        is scored in one call; the per-chunk bookkeeping showed in route
-        latency."""
+    def _scores32(self, q64: np.ndarray, lo: int = 0) -> np.ndarray:
+        """Clipped float32 scores of the stored vectors from ``lo`` on, the
+        query rounded to float32, filled in one vector a chunk at a time. A
+        store of one chunk (one restored or loaded and not grown since, or
+        a small one) is scored in one call; the per-chunk bookkeeping
+        showed in route latency."""
         q32 = q64.astype(np.float32)
         if len(self.chunks) == 1:
-            return _clip_unit(self.chunks[0][: self.distinct] @ q32)
-        s = np.empty(self.distinct, np.float32)
+            return _clip_unit(self.chunks[0][lo : self.distinct] @ q32)
+        s = np.empty(self.distinct - lo, np.float32)
         for block, start in zip(self.blocks(), self.starts):
-            np.matmul(block, q32, out=s[start : start + block.shape[0]])
+            a = max(lo - start, 0)
+            if a < block.shape[0]:
+                np.matmul(block[a:], q32, out=s[start + a - lo : start + block.shape[0] - lo])
         return _clip_unit(s)
 
     def _refine(self, vectors: np.ndarray, q64: np.ndarray) -> np.ndarray:
-        """Clipped float64 ``row_dots`` scores of ascending stored
-        ``vectors``, gathered from their chunks at most ``_CHUNK`` at a
-        time; from a store of one chunk directly, with no chunk boundaries
-        to find. One ``searchsorted`` finds where every later chunk's
-        vectors begin."""
+        """Clipped float64 ``row_dots`` scores of ascending stored ``vectors``."""
         s = np.empty(vectors.shape[0])
+        for i, j, block in self._gather(vectors):
+            s[i:j] = row_dots(block.astype(np.float64), q64)
+        return _clip_unit(s)
+
+    def _gather(self, vectors: np.ndarray):
+        """``(i, j, block)``: ascending stored ``vectors[i:j]`` in float32,
+        gathered from their chunks at most ``_CHUNK`` at a time; from a
+        store of one chunk directly, with no chunk boundaries to find. One
+        ``searchsorted`` finds where every later chunk's vectors begin."""
         if len(self.chunks) == 1:
             chunk = self.chunks[0]
             for i in range(0, vectors.shape[0], _CHUNK):
                 part = vectors[i : i + _CHUNK]
-                s[i : i + part.shape[0]] = row_dots(chunk[part].astype(np.float64), q64)
-            return _clip_unit(s)
+                yield i, i + part.shape[0], chunk[part]
+            return
         ends = np.searchsorted(vectors, self.starts[1:]).tolist() + [vectors.shape[0]]
         lo = 0
         for chunk, start, hi in zip(self.chunks, self.starts, ends):
             for i in range(lo, hi, _CHUNK):
                 j = min(i + _CHUNK, hi)
-                s[i:j] = row_dots(chunk[vectors[i:j] - start].astype(np.float64), q64)
+                yield i, j, chunk[vectors[i:j] - start]
             lo = hi
-        return _clip_unit(s)
 
     def distance(self, p) -> np.ndarray:
         """L2 distance over x, y, z, summed left to right as a row sum would."""

@@ -7,6 +7,7 @@ between the ingest writer and concurrent readers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 from typing import Optional, Sequence
@@ -125,7 +126,10 @@ class Config:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            json_number(getattr(self, f.name), f.name, Integral if f.type == "int" else Real)
+            kind = Integral if f.type == "int" else Real
+            value = json_number(getattr(self, f.name), f.name, kind)
+            if kind is Real and type(value) is int and abs(value) > sys.float_info.max:
+                raise ValueError(f"{f.name} is too large for a float")  # isfinite would overflow
         if not (math.isfinite(self.delta_p) and self.delta_p > 0):
             raise ValueError(f"delta_p must be > 0, got {self.delta_p}")
         if not (0.0 < self.delta_e <= 1.0):

@@ -386,7 +386,10 @@ def load_snapshot(path: str | Path) -> SessionState:
             payload = json.loads(meta.decode("utf-8"))  # raises what made _read_meta give up
         cfg = Config.from_dict(payload["config"])
         dim = cfg.embedding_dim
-        provider = provider_from_spec(payload["provider"], dim)
+        try:
+            provider = provider_from_spec(payload["provider"], dim)
+        except SnapshotError as exc:  # an unknown kind: name the file, as every refusal does
+            raise SnapshotError(f"{path}: {exc}") from None
         sections = payload["graph"], payload["captions"]
         if version[0] < 2:
             parts = [({}, _decode_block(s[key], dim)) for s, (_, key) in zip(sections, _KINDS)]

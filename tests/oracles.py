@@ -378,3 +378,39 @@ def read_qa_strict(path) -> list:
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad QA item: {exc}") from None
     return items
+
+
+# ----------------------------------------------------------------------
+# strict config reader
+# ----------------------------------------------------------------------
+
+CONFIG_DEFAULTS = {
+    "delta_p": 5.0, "delta_e": 0.75, "subsample_period": 2.0,
+    "default_k": 5, "max_planner_iterations": 8, "embedding_dim": 384,
+}
+
+
+def read_config_strict(doc) -> dict:
+    """A config document's fields over the defaults, each checked on its
+    own, to check ``Config.from_dict`` against. A refused document raises
+    ValueError. Integer fields take JSON integers of at least 1; number
+    fields JSON numbers a float holds, finite and positive, ``delta_e`` at
+    most 1."""
+    if type(doc) is not dict:
+        raise ValueError(f"a config must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(CONFIG_DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown fields {sorted(unknown)}")
+    values = CONFIG_DEFAULTS | doc
+    for name, value in values.items():
+        if type(CONFIG_DEFAULTS[name]) is int:
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            continue
+        try:
+            x = float(value) if type(value) in (int, float) else math.nan
+        except OverflowError:
+            x = math.nan
+        if not (math.isfinite(x) and x > 0 and (x <= 1.0 or name != "delta_e")):
+            raise ValueError(f"{name} is out of range, got {value!r}")
+    return values

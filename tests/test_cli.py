@@ -1,10 +1,18 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from lgr import (
     Caption,
@@ -30,12 +38,18 @@ from lgr import (
 )
 from lgr.cli import build_parser, main
 from lgr.snapshot import load_snapshot
+from test_eval import JSON_VALUES
+from test_model import CONFIG_DOC, CONFIG_MUTATIONS, SPECIALS, config_or_refusal, mutated_config
 from worlds import ScriptedPlanner
 
 
 @pytest.fixture
 def toy_log(tmp_path):
     """10 Hz for 10 s: subsamples to 6 observations at period 2.0."""
+    return write_toy_log(tmp_path)
+
+
+def write_toy_log(tmp_path):
     records = []
     for i in range(101):
         t = i / 10
@@ -57,6 +71,14 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_quietly(*argv):
+    """``run`` for a hypothesis test, which cannot take the capsys fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestIngest:
@@ -116,6 +138,36 @@ class TestIngest:
         assert (code, err) == (1, f"error: {message}\n")
         assert "Traceback" not in out + err
         assert sorted(tmp_path.iterdir()) == sorted([cfg_file, toy_log])  # no snapshot
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    how=st.sampled_from(CONFIG_MUTATIONS),
+    field=st.sampled_from(tuple(CONFIG_DOC)),
+    value=st.one_of(JSON_VALUES.filter(lambda v: type(v) is not int), st.integers(-3, 64)),
+    special=SPECIALS,
+    flag=st.booleans(),
+)
+def test_mutated_config_file_is_read_as_the_strict_reader_reads_it(how, field, value, special,
+                                                                   flag):
+    """``lgr ingest --config`` with a mutated config file ingests with the
+    config the strict reader reads, or exits 1 with ``error:``, no
+    traceback and no snapshot. Integers stay small: any integer from 1 on
+    is a valid ``embedding_dim``, and ingest allocates vectors that wide."""
+    if how == "huge":
+        flag = True  # -(10**400): too large for a float, and below 1
+    doc = mutated_config(how, field, value, special, flag)
+    want = config_or_refusal(oracles.read_config_strict, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        log, cfg_file, snap = write_toy_log(Path(tmp)), Path(tmp) / "cfg.json", Path(tmp) / "s"
+        cfg_file.write_text(json.dumps(doc))
+        code, out, err = run_quietly("ingest", log, "--out", snap, "--config", cfg_file)
+        if want is None:
+            assert code == 1 and err.startswith("error:"), (code, err)
+            assert "Traceback" not in out + err and not snap.exists()
+        else:
+            assert code == 0, err
+            assert load_snapshot(snap).cfg.to_dict() == want
 
 
 @pytest.fixture
@@ -279,6 +331,14 @@ class TestEvalAndStats:
         assert stats["caption_records"] == 6
         assert stats["n_queries"] == 0
         assert stats["fallback"] is None
+
+    def test_stats_names_the_file_of_an_unknown_provider_kind(self, snapshot, capsys):
+        from test_snapshot import rewrite_meta
+
+        rewrite_meta(snapshot, lambda p: p["provider"].update(kind="martian"))
+        code, out, err = run(capsys, "stats", snapshot)
+        assert (code, err) == (1, f"error: {snapshot}: unknown provider kind: 'martian'\n")
+        assert "Traceback" not in out + err
 
     def test_stats_reports_format_version(self, tmp_path, snapshot, capsys):
         from test_snapshot import write_v1

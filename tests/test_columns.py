@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -763,3 +763,142 @@ def test_stores_with_no_shared_vector_hold_row_i_in_vector_i(cfg64):
         assert np.array_equal(store._cols.uid[:n], np.arange(n))
         assert store.vector_count() == len(store) == n
         check_one_float32_column(store)
+
+
+# ----------------------------------------------------------------------
+# the gate's memo: a repeat query scores only the vectors appended since
+# ----------------------------------------------------------------------
+
+
+def memo_pool(seed: int) -> np.ndarray:
+    """Float32 rows whose first component is 0.0: e, then rows scoring
+    0.9, 0.75, 0.6 and 0.3 against it, each followed by a ``-0.0`` twin
+    whose bytes differ and whose scores tie."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((DIM - 1, 5)))[0].T
+    a = np.array([1.0, 0.9, 0.75, 0.6, 0.3])[:, None]
+    other = np.vstack([np.zeros(DIM - 1), basis[1:]])
+    pool = np.zeros((10, DIM), np.float32)
+    pool[:, 1:] = np.repeat(a * basis[0] + np.sqrt(1.0 - a * a) * other, 2, axis=0)
+    pool[1::2, 0] = -0.0
+    return pool
+
+
+def check_memo(cols: Columns) -> None:
+    """Each entry is keyed by its vector's bytes, at most one per stored
+    vector, and the memo keeps no more vectors than it may."""
+    assert len(cols._memo) <= cols.distinct
+    for h, (u, _, m, kept) in cols._memo.items():
+        assert h == columns.hash(cols._vector(u).tobytes())
+        assert u < cols.distinct and m <= cols.distinct
+        assert np.all(kept[1:] > kept[:-1]) and (not kept.size or kept[-1] < m)
+    assert cols._memo_ids == sum(e[3].shape[0] for e in cols._memo.values())
+    assert cols._memo_ids <= cols.size + cols.distinct
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 5),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["append", "append", "grow", "none"]),
+            st.integers(0, 9),  # the vector appended
+            st.integers(0, 9),  # the vector queried
+            st.sampled_from([0.1, 0.5, 0.75, 0.85, "edge", "below edge", "above edge", "float64"]),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example(  # a vector appended between repeats whose score lies between their cuts
+    chunk=2,
+    restored=0,
+    steps=[
+        ("grow", 8, 0, 0.5),  # no later append raises norm_bound
+        ("append", 0, 0, 0.5),
+        ("append", 6, 0, 0.85),  # scores 0.6 against the query
+        ("none", 0, 0, 0.5),
+    ],
+    seed=1,
+    collide=False,
+)
+def test_gate_memo_equals_a_full_float64_scan(chunk, restored, steps, seed, collide):
+    # appends across chunk boundaries; repeated queries and their -0.0
+    # twins; floors that move between repeats, exactly at a stored row's
+    # score or one step either side of it, or low enough to fill the
+    # memo's budget; queries that round to a stored vector in float32 but
+    # are not one; and appends of longer vectors, which raise norm_bound
+    # and so lower the cut of every later query. With ``collide`` every
+    # vector hashes alike, so only the byte checks tell entries apart.
+    rng = np.random.default_rng(seed)
+    pool = memo_pool(seed)
+    hashing = (lambda key: 0) if collide else hash
+    with (
+        mock.patch.object(columns, "_CHUNK", chunk),
+        mock.patch.object(columns, "hash", hashing, create=True),
+    ):
+        emb = [pool[i % 10] for i in range(restored)]  # restored rows are not hashed
+        records = [CaptionRecord(i + 1, "c", v, Pose(0.0, 0.0), 0.0) for i, v in enumerate(emb)]
+        cols = CaptionStore.restore(Config(embedding_dim=DIM), records)._cols
+        for op, a, b, mode in steps:
+            if op != "none":
+                v = pool[a] * np.float32(1.5 if op == "grow" else 1.0)
+                cols.append(len(emb) + 1, v, "c", Pose(0.0, 0.0), time=0.0)
+                emb.append(v)
+            q = pool[b].astype(np.float64)
+            floor = mode if isinstance(mode, float) else 0.75
+            if mode == "float64":  # a query of the same float32 bytes, not a float32 one
+                q *= 1.0 + 2.0**-40
+            elif emb and isinstance(mode, str):
+                floor = float(full_scan(np.array(emb), q)[rng.integers(len(emb))])
+                if mode != "edge":
+                    floor = float(np.nextafter(floor, np.inf if mode == "above edge" else -np.inf))
+            mask = rng.random(len(emb)) < 0.8
+            want = np.flatnonzero(mask & (full_scan(np.array(emb).reshape(-1, DIM), q) > floor))
+            assert np.array_equal(cols.cosine_above(q, floor, mask), want)
+            check_memo(cols)
+
+
+def test_third_sighting_scores_only_the_vectors_appended_since_the_second(cfg64, monkeypatch):
+    scored = []
+    scores32 = Columns._scores32
+
+    def counter(self, q64, lo=0):
+        s = scores32(self, q64, lo)
+        scored.append(s.shape[0])
+        return s
+
+    monkeypatch.setattr(Columns, "_scores32", counter)
+    g = random_graph(10_000, cfg64, seed=61)
+    cols = g._cols
+    far = iter(unit_rows(40, DIM, seed=62))
+    t = iter(range(1000))
+
+    def sight(label: np.ndarray, at: Pose) -> tuple:
+        scored.clear()
+        obs = Observation("f", at, float(next(t)), labels=(Label("x", label),))
+        report = g.ingest_observation(obs)
+        assert len(scored) <= 1
+        return sum(scored), report
+
+    def new_nodes(n: int) -> int:
+        before = cols.distinct
+        for i in range(n):  # unseen labels, far from every node
+            sight(next(far), Pose(1000.0 + 10.0 * i, 0.0))
+        return cols.distinct - before
+
+    restored = g.get_node(77)
+    fresh = unit_rows(1, DIM, seed=63)[0]
+    for label, at in ((restored.embedding, restored.pose), (fresh, Pose(500.0, 0.0))):
+        first, report = sight(label, at)
+        created = len(report.created)  # the label's own node, appended after the pass
+        assert first == cols.distinct - created  # a full pass
+        appended = new_nodes(7)
+        second, report = sight(label, at)
+        assert report.created == () and second <= created + appended
+        appended = new_nodes(5)
+        third, report = sight(label, at)
+        assert report.created == () and third <= appended == 5

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lgr import (
     Caption,
     Config,
@@ -20,6 +21,7 @@ from lgr import (
 )
 from lgr.embedding import l2_normalize
 from lgr.model import EMBEDDING_NORM_TOL, _embedding_violations, json_number
+from test_eval import JSON_VALUES
 
 DIM = 8
 CFG = Config(embedding_dim=DIM)
@@ -140,6 +142,68 @@ class TestConfig:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown config"):
             Config.from_dict({"delta_q": 1.0})
+
+
+# ----------------------------------------------------------------------
+# Config.from_dict, fuzzed against the strict reader
+# ----------------------------------------------------------------------
+
+CONFIG_DOC = {
+    "delta_p": 4.0, "delta_e": 0.8, "subsample_period": 1.0,
+    "default_k": 3, "max_planner_iterations": 6, "embedding_dim": 16,
+}
+CONFIG_MUTATIONS = ("swap", "drop", "nest", "huge", "special", "unknown", "not an object")
+
+
+def mutated_config(how: str, field: str, value, special: float, flag: bool):
+    """``CONFIG_DOC`` with one mutation: ``field`` swapped for ``value``,
+    dropped, nested in a list or an object, set to an integer too large
+    for a float (negative when ``flag``) or to ``special``; an unknown
+    field added; or the whole document replaced by ``value``."""
+    doc = dict(CONFIG_DOC)
+    if how == "swap":
+        doc[field] = value
+    elif how == "drop":
+        del doc[field]
+    elif how == "nest":
+        doc[field] = [doc[field]] if flag else {"v": doc[field]}
+    elif how == "huge":
+        doc[field] = -(10**400) if flag else 10**400
+    elif how == "special":
+        doc[field] = special
+    elif how == "unknown":
+        doc[field + "s"] = value
+    else:
+        return value
+    return doc
+
+
+def config_or_refusal(read, doc):
+    """The fields ``read(doc)`` returns, or None when it raises ValueError,
+    and no other type."""
+    try:
+        got = read(doc)
+    except ValueError as exc:
+        assert type(exc) is ValueError, exc
+        return None
+    return got.to_dict() if isinstance(got, Config) else got
+
+
+SPECIALS = st.sampled_from((math.nan, math.inf, -math.inf, -5.0, -0.0, 0.0, 1.0, 1.5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    how=st.sampled_from(CONFIG_MUTATIONS),
+    field=st.sampled_from(tuple(CONFIG_DOC)),
+    value=JSON_VALUES,
+    special=SPECIALS,
+    flag=st.booleans(),
+)
+def test_mutated_config_is_read_as_the_strict_reader_reads_it(how, field, value, special, flag):
+    doc = mutated_config(how, field, value, special, flag)
+    want = config_or_refusal(oracles.read_config_strict, doc)
+    assert config_or_refusal(Config.from_dict, doc) == want
 
 
 class TestValidateObservation:

@@ -5,7 +5,8 @@ several small chunks and repeat (so rows share them), with each row's
 
 Every tool is called through ``TOOLS`` and checked against the full-scan
 ``rank_*`` oracles over the items the stores return, and the ingest gate
-against ``find_matches_naive``. Routed "where is" questions are checked
+against ``find_matches_naive``, with label vectors exactly at and one
+step either side of the ``delta_e`` edge (``EDGE``). Routed "where is" questions are checked
 against the answer those oracles pick, and against the session counters.
 The caption store is append-only, so a plain list models it exactly; the
 graph is checked by its invariants and by surviving each save/load and
@@ -46,6 +47,18 @@ from lgr.tools import TOOLS
 
 DIM = 8
 LABELS = ("cup", "door", "bench", "lamp")
+# label vectors at the delta_e (0.75) edge of "mug": every product and sum
+# of their scores is exact in float64, so "rim" and its -0.0 twin score
+# exactly 0.75 against "mug" (no match), "handle" one step above it and
+# "base" one step below
+_S = 2.0**-20
+EDGE = {
+    "mug": (0.5, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0),
+    "rim": (0.5, 0.5, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0),
+    "rim twin": (0.5, 0.5, 0.5, -0.0, 0.5, 0.0, 0.0, 0.0),
+    "handle": (0.5, 0.5, 0.5, _S, 0.5, 0.0, 0.0, 0.0),
+    "base": (0.5, 0.5, 0.5, -_S, 0.5, 0.0, 0.0, 0.0),
+}
 CAPTIONS = ("a hall", "a kitchen", "a door by a lamp")
 # a 3-4-5 grid: many sightings lie exactly delta_p (5 m) apart
 XS, YS = (0.0, 3.0, 6.0, 12.0), (0.0, 4.0)
@@ -107,8 +120,13 @@ class Session(RuleBasedStateMachine):
         self._chunk.stop()
         self._dir.cleanup()
 
+    def label_vector(self, text: str) -> np.ndarray:
+        if text in EDGE:
+            return np.array(EDGE[text], np.float32)
+        return self.provider.embed(text)
+
     @rule(
-        labels=st.lists(st.sampled_from(LABELS), max_size=3),
+        labels=st.lists(st.sampled_from(LABELS + tuple(EDGE)), max_size=3),
         caption=st.none() | st.sampled_from(CAPTIONS),
         x=st.sampled_from(XS),
         y=st.sampled_from(YS),
@@ -122,7 +140,7 @@ class Session(RuleBasedStateMachine):
             frame_id=f"f{self.frames}",
             pose=pose,
             time=self.t,
-            labels=tuple(Label(text, self.provider.embed(text)) for text in labels),
+            labels=tuple(Label(text, self.label_vector(text)) for text in labels),
             caption=None if caption is None else Caption(caption, self.provider.embed(caption)),
         )
         self.frames += 1
