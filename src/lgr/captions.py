@@ -59,11 +59,14 @@ class CaptionStore(RowStore):
         """Insert the observation's caption triplet; returns the record id.
 
         An observation without a caption is an error here; callers skip
-        such frames upstream.
+        such frames upstream. ``_insert`` is the body without the checks.
         """
         if obs.caption is None or not obs.caption.text:
             raise ValueError(f"observation {obs.frame_id!r} carries no caption")
         ensure_valid(obs, self._cfg)
+        return self._insert(obs)
+
+    def _insert(self, obs: Observation) -> int:
         with self._lock:
             rid = self._next_id
             self._cols.append(rid, obs.caption.embedding, obs.caption.text, obs.pose, time=obs.time)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .embedding import EmbeddingProvider, FixtureProvider, HashProvider, load_fixture_table
 from .evalharness import evaluate, load_qa_items
-from .logio import LogParseError, load_log
+from .logio import LogParseError
 from .model import Config
 from .router import Router, RuleBasedPlanner, fallback_percentage
 from .snapshot import SessionState, SnapshotError, load_snapshot, save_snapshot
@@ -130,27 +130,11 @@ def _print(obj: object) -> None:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    provider = resolve_provider(args.provider, cfg, args.seed)
-    state = SessionState.new(cfg, provider)
+    state = SessionState.new(cfg, resolve_provider(args.provider, cfg, args.seed))
     t0 = time.perf_counter()
-    observations = created = updated = inserted = 0
-    for obs in load_log(args.log, cfg, provider):
-        report = state.ingest(obs)
-        created += len(report.created)
-        updated += len(report.updated)
-        inserted += obs.caption is not None
-        observations += 1
+    counts = state.ingest_log(args.log)
     save_snapshot(state, args.out)
-    _print(
-        {
-            "observations": observations,
-            "nodes_created": created,
-            "node_updates": updated,
-            "captions_inserted": inserted,
-            "wall_time_s": round(time.perf_counter() - t0, 6),
-            "snapshot": args.out,
-        }
-    )
+    _print({**counts, "wall_time_s": round(time.perf_counter() - t0, 6), "snapshot": args.out})
     return 0
 
 

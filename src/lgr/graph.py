@@ -83,7 +83,12 @@ class MemoryGraph(RowStore):
             return self._find_matches_locked(embedding, pose.position())
 
     def ingest_observation(self, obs: Observation) -> IngestReport:
-        """Apply one observation's labels to the graph.
+        """Check one observation (``ensure_valid``), then apply it (``_ingest``)."""
+        ensure_valid(obs, self._cfg)
+        return self._ingest(obs)
+
+    def _ingest(self, obs: Observation) -> IngestReport:
+        """Apply one checked observation's labels to the graph.
 
         Labels are grouped into same-entity groups by transitive closure
         of the similarity gate. For each group of size k matched against
@@ -91,7 +96,6 @@ class MemoryGraph(RowStore):
         otherwise only the k nearest are updated. A node takes at most one
         update per frame; the earliest group claims it.
         """
-        ensure_valid(obs, self._cfg)
         with self._lock:
             if not obs.labels:
                 return IngestReport((), (), 0)

@@ -146,6 +146,8 @@ class Config:
             )
         if self.embedding_dim < 1:
             raise ValueError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
+        if self.embedding_dim > 65536:  # refused before any vector that wide (256 KiB) is built
+            raise ValueError("embedding_dim must be <= 65536")
 
     def to_dict(self) -> dict:
         """The fields by name, as snapshots and ``lgr`` config files hold them."""

@@ -50,8 +50,8 @@ from .captions import CaptionStore
 from .columns import RowStore, _dim_error, column_dtype
 from .embedding import EmbeddingProvider, FixtureProvider, HashProvider
 from .graph import IngestReport, MemoryGraph
-from .logio import decode_vector, encode_vector
-from .model import Config, Observation, Pose, json_number
+from .logio import decode_vector, encode_vector, load_log
+from .model import Config, Observation, Pose, ensure_valid, json_number
 from .router import SessionStats
 
 FORMAT_NAME = "lgr-snapshot"
@@ -65,7 +65,9 @@ class SnapshotError(RuntimeError):
 
 @dataclass
 class SessionState:
-    """Everything one session owns: config, provider, both stores, stats."""
+    """Everything one session owns: config, provider, both stores, stats.
+    The one ingest path: it checks each frame once, against ``cfg``, which
+    ``new`` and ``load_snapshot`` build both stores from."""
 
     cfg: Config
     provider: EmbeddingProvider
@@ -84,11 +86,26 @@ class SessionState:
         return cls(cfg, provider, MemoryGraph(cfg), CaptionStore(cfg), SessionStats())
 
     def ingest(self, obs: Observation) -> IngestReport:
-        """Apply one observation: the graph first, then its caption if it
-        has one."""
-        report = self.graph.ingest_observation(obs)
+        """Check one observation, then apply it; a refused one changes nothing."""
+        ensure_valid(obs, self.cfg)
+        return self._apply(obs)
+
+    def ingest_log(self, path: str | Path) -> dict[str, int]:
+        """Apply each frame ``load_log`` keeps and checks; the counts ``lgr ingest`` prints."""
+        n = dict.fromkeys(("observations", "nodes_created", "node_updates", "captions_inserted"), 0)
+        for obs in load_log(path, self.cfg, self.provider):
+            report = self._apply(obs)
+            n["observations"] += 1
+            n["nodes_created"] += len(report.created)
+            n["node_updates"] += len(report.updated)
+            n["captions_inserted"] += obs.caption is not None
+        return n
+
+    def _apply(self, obs: Observation) -> IngestReport:
+        """The graph first, then the caption if the checked frame has one."""
+        report = self.graph._ingest(obs)
         if obs.caption is not None:
-            self.captions.insert_caption(obs)
+            self.captions._insert(obs)
         return report
 
 

@@ -395,7 +395,7 @@ def read_config_strict(doc) -> dict:
     own, to check ``Config.from_dict`` against. A refused document raises
     ValueError. Integer fields take JSON integers of at least 1; number
     fields JSON numbers a float holds, finite and positive, ``delta_e`` at
-    most 1."""
+    most 1; ``embedding_dim`` is at most 65536."""
     if type(doc) is not dict:
         raise ValueError(f"a config must be a JSON object, got {doc!r}")
     unknown = set(doc) - set(CONFIG_DEFAULTS)
@@ -406,6 +406,8 @@ def read_config_strict(doc) -> dict:
         if type(CONFIG_DEFAULTS[name]) is int:
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if name == "embedding_dim" and value > 65536:
+                raise ValueError(f"{name} must be at most 65536")
             continue
         try:
             x = float(value) if type(value) in (int, float) else math.nan

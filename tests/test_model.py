@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from numbers import Integral, Real
 
 import numpy as np
@@ -142,6 +143,20 @@ class TestConfig:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown config"):
             Config.from_dict({"delta_q": 1.0})
+
+    def test_embedding_dim_is_bounded_at_65536(self):
+        assert Config.from_dict({"embedding_dim": 65536}).embedding_dim == 65536
+        with pytest.raises(ValueError, match=r"^embedding_dim must be >= 1, got 0$"):
+            Config(embedding_dim=0)
+        for dim in (65537, 10**400):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=r"^embedding_dim must be <= 65536$"):
+                    Config.from_dict({"embedding_dim": dim})
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 1024  # nothing near a 65537-wide vector (256 KiB)
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +322,7 @@ def embeddings(draw):
     return vec
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(vec=embeddings())
 def test_embedding_check_equals_the_componentwise_reference(vec):
@@ -332,6 +348,7 @@ times = st.one_of(
 texts = st.sampled_from(("chair", "a chair by the wall", "chair", ""))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(
     pose=st.builds(Pose, scalars, scalars, scalars, yaws),

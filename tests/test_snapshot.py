@@ -9,6 +9,7 @@ import shutil
 import stat
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lgr.model
 from conftest import DIM, random_graph, unit_rows
 from lgr import (
     Caption,
@@ -32,16 +34,20 @@ from lgr import (
     SessionState,
     SessionStats,
     SnapshotError,
+    load_log,
     load_snapshot,
     save_snapshot,
     t_position,
     t_semantic,
     t_time,
+    write_log,
 )
 from lgr.cli import main
+from lgr.embedding import l2_normalize
 from lgr.logio import decode_vector, encode_vector
 from lgr.snapshot import FORMAT_VERSION, provider_from_spec, provider_to_spec
 from test_session_machine import check_store
+from worlds import generate_synthetic_session, grid_tour_world
 
 
 def build_state(seed: int = 17, n_nodes: int = 40, n_captions: int = 25) -> SessionState:
@@ -634,6 +640,81 @@ def saved(tmp_path, n_nodes: int = 5, n_captions: int = 3):
     path = tmp_path / "s.lgrsnap"
     save_snapshot(build_state(n_nodes=n_nodes, n_captions=n_captions), path)
     return path
+
+
+def world_log(tmp_path) -> Path:
+    """A grid-tour log at 2 Hz, every third frame without a caption, so a
+    session at the default 2 s period keeps a quarter of its frames."""
+    world = grid_tour_world(["cup", "door", "sofa", "lamp"], duration=120.0)
+    records, _ = generate_synthetic_session(5, world, Config(subsample_period=0.5))
+    path = tmp_path / "walk.jsonl"
+    write_log([replace(r, caption="") if i % 3 == 0 else r for i, r in enumerate(records)], path)
+    return path
+
+
+def session_rows(state: SessionState) -> tuple:
+    """Both stores' rows, stored vector counts and next ids."""
+    stores = state.graph, state.captions
+    return (state.graph.all_nodes(), state.captions.all_records(),
+            [s.vector_count() for s in stores], [s.next_id for s in stores])
+
+
+class TestSessionIngest:
+    """``SessionState`` checks each frame once and applies all of it or none."""
+
+    def test_each_path_checks_a_frame_once(self, tmp_path, monkeypatch):
+        checked = []
+        check = lgr.model.validate_observation
+        monkeypatch.setattr(lgr.model, "validate_observation",
+                            lambda obs, cfg: checked.append(obs.frame_id) or check(obs, cfg))
+        cfg, log = Config(embedding_dim=DIM), world_log(tmp_path)
+        counts = SessionState.new(cfg, HashProvider(3, DIM)).ingest_log(log)
+        lines = len(log.read_text().splitlines())
+        assert 0 < counts["captions_inserted"] < counts["observations"] < lines
+        assert len(checked) == len(set(checked)) == counts["observations"]
+        state = SessionState.new(cfg, HashProvider(3, DIM))
+        frames = list(load_log(log, cfg, state.provider))
+        checked.clear()
+        for obs in frames:
+            state.ingest(obs)
+        assert checked == [obs.frame_id for obs in frames]
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            dict(time=-1.0),
+            dict(labels=(Label("x", l2_normalize(np.ones(DIM + 1))),)),
+            dict(labels=(Label("x", HashProvider(0, DIM).embed("x")), Label("y", np.eye(DIM + 1)[0]))),
+            dict(caption=Caption("a cup", l2_normalize(np.ones(DIM - 1)))),
+        ],
+        ids=["negative-time", "wide-label", "wide-second-label", "narrow-caption"],
+    )
+    def test_refused_frame_leaves_the_session_unchanged(self, tmp_path, fault):
+        state = SessionState.new(Config(embedding_dim=DIM), HashProvider(3, DIM))
+        state.ingest_log(world_log(tmp_path))
+        before = session_rows(state)
+        fields = dict(frame_id="f", pose=Pose(0.0, 0.0), time=1.0,
+                      labels=(Label("x", HashProvider(0, DIM).embed("x")),))
+        with pytest.raises(ValueError, match="invalid observation"):
+            state.ingest(Observation(**(fields | fault)))
+        assert session_rows(state) == before
+
+    def test_log_and_frame_paths_agree(self, tmp_path):
+        cfg, log = Config(embedding_dim=DIM), world_log(tmp_path)
+        by_log = SessionState.new(cfg, HashProvider(3, DIM))
+        counts = by_log.ingest_log(log)
+        by_frame = SessionState.new(cfg, HashProvider(3, DIM))
+        n = dict.fromkeys(counts, 0)
+        for obs in load_log(log, cfg, by_frame.provider):
+            report = by_frame.ingest(obs)
+            n["observations"] += 1
+            n["nodes_created"] += len(report.created)
+            n["node_updates"] += len(report.updated)
+            n["captions_inserted"] += obs.caption is not None
+        assert n == counts and min(counts.values()) > 0
+        save_snapshot(by_log, tmp_path / "log.lgrsnap")
+        save_snapshot(by_frame, tmp_path / "frame.lgrsnap")
+        assert (tmp_path / "log.lgrsnap").read_bytes() == (tmp_path / "frame.lgrsnap").read_bytes()
 
 
 class TestCorruption:
