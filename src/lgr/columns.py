@@ -47,7 +47,8 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from itertools import repeat
+from itertools import count, repeat
+from numbers import Integral
 from dataclasses import fields as dataclass_fields
 from operator import attrgetter
 from typing import Callable, Iterable
@@ -55,7 +56,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .embedding import row_dots
-from .model import Config, Pose
+from .model import Config, Pose, json_number
 
 _GROW = 64
 ROWS = ("ids", "x", "y", "z", "yaw", "time", "text")  # every store's row columns, in file order
@@ -540,7 +541,7 @@ class RowStore:
         The embeddings are copied once, into one chunk, one vector per
         item. They are not hashed, so only vectors appended later are
         shared: hashing 100k rows costs as much as the rest of the restore.
-        ``next_id`` must exceed every stored id; it defaults to one above.
+        ``_restore`` checks the rows and ``next_id`` as it checks a load's.
         """
         items = list(items)
         fields = [f.name for f in dataclass_fields(cls._ITEM)]
@@ -550,47 +551,56 @@ class RowStore:
         for f, c in ((cls._ID, "ids"), *zip(fields[4:], cls._REST)):
             values[c] = _column(items, f, column_dtype(c))
         values["text"], index = _intern(map(attrgetter(fields[1]), items), len(items))
-        return cls._restore(cfg, values, index, next_id, block)
+        return cls._restore(cfg, values, list(index), next_id, block)
 
     @classmethod
-    def _restore(cls, cfg: Config, values: dict, index, next_id: int | None, block):
-        """A store whose row columns are ``values`` by name, which adopts
-        ``block`` (a read-only (m, dim) float32 array) as its first chunk.
-        Row i holds block row ``values["uid"][i]``, or with no ``uid``
-        block row i. ``values["text"]`` holds each row's number in
-        ``index`` (each distinct text's number, in order), or with
-        ``index`` None the row's text, which is interned. Rows out of id
-        order are sorted with their ``uid``, or with no ``uid`` with one
-        sorted copy of the block. The columns get as much headroom as
+    def _restore(cls, cfg: Config, values: dict, texts: list, next_id: int | None, block):
+        """The one constructor of a store built from rows (its columns by
+        name in ``values`` and its text table ``texts``, as a 2.2 snapshot
+        holds them), and the one place that checks them. The store adopts
+        ``block``, a read-only (m, dim) float32 array, as its first chunk;
+        row i holds block row ``values["uid"][i]``, or with no ``uid`` block
+        row i. Rows out of id order are sorted with their ``uid``, or with
+        no ``uid`` with one sorted copy of the block. ``next_id`` defaults
+        to one above the largest id. The columns get as much headroom as
         rows."""
         ids = values["ids"]
         if not np.all(ids[1:] > ids[:-1]):
             order = np.argsort(ids, kind="stable")
-            rows = order.tolist()
-            for c, v in values.items():
-                values[c] = [v[i] for i in rows] if isinstance(v, list) else v[order]
-            ids = values["ids"]
             if "uid" not in values:
                 block = block[order]
                 block.flags.writeable = False
+            values = {c: v[order] for c, v in values.items()}
+            ids = values["ids"]
         dup = ids[1:][ids[1:] == ids[:-1]]
         if dup.size:
             raise ValueError(f"duplicate {cls._ID} {dup[0]}")
-        n = ids.shape[0]
+        n, m = ids.shape[0], block.shape[0]
         top = int(ids[-1]) if n else 0
-        if next_id is None:
-            next_id = top + 1
-        elif next_id < 1 or next_id <= top:
+        next_id = top + 1 if next_id is None else json_number(next_id, "next_id", Integral)
+        if next_id < 1 or next_id <= top:
             raise ValueError(f"next_id {next_id} must be >= 1 and above the largest id {top}")
-        if index is None:
-            values["text"], index = _intern(values["text"], n)
-        values.setdefault("uid", np.arange(n))
+        strings = type(texts) is list and not set(map(type, texts)) - {str}
+        index = dict(zip(texts, count())) if strings else {}
+        if not strings or len(index) < len(texts):
+            raise ValueError(f"{cls._WHAT} texts must be a list of distinct strings")
+        if n and (values["text"].min() < 0 or values["text"].max() >= len(texts)):
+            raise ValueError(f"{cls._WHAT} text indexes must lie in [0, {len(texts)})")
+        counts = values.get("count")
+        if counts is not None and n and counts.min() < 1:
+            raise ValueError(f"obs_count must be >= 1, got {counts.min()}")
+        uid = values.setdefault("uid", np.arange(n))
+        outside = n and (uid.min() < 0 or uid.max() >= m)
+        if outside or np.count_nonzero(np.bincount(uid, minlength=m)) != m:
+            raise ValueError(
+                f"the {cls._WHAT} uid column must use each of its {m} stored vectors and no other"
+            )
         store = cls(cfg)
-        store._next_id = next_id
+        store._next_id = int(next_id)
         cols = store._cols = Columns(cfg.embedding_dim, n + max(_GROW, n), cls._NAMES)
         cols.adopt(block)
         for name in cols.names:
             getattr(cols, name)[:n] = values[name]
-        cols.texts, cols._text_ids = list(index), index
+        cols.texts, cols._text_ids = texts, index
         cols.size = n
         return store

@@ -182,7 +182,8 @@ def load_fixture_table(path: str | Path) -> dict[str, np.ndarray]:
     """Read a fixture table: one record per line, ``text<TAB>v1,v2,...``.
 
     Blank lines and lines starting with ``#`` are skipped. Vectors are
-    returned un-normalized; FixtureProvider normalizes on construction.
+    returned un-normalized (FixtureProvider normalizes on construction),
+    but one that ``l2_normalize`` refuses is refused here, with its line.
     """
     table: dict[str, np.ndarray] = {}
     path = Path(path)
@@ -200,6 +201,7 @@ def load_fixture_table(path: str | Path) -> dict[str, np.ndarray]:
                 values = np.array(
                     [float(tok) for tok in rest.split(",")], dtype=np.float64
                 )
+                l2_normalize(values)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad vector value: {exc}") from None
             if text in table:

@@ -16,10 +16,12 @@ vectors as row-major little-endian float32
 (``vectors * embedding_dim * 4`` bytes), so a shared vector is written
 once, and retrieval is bit-identical across a save/load round trip.
 
-Loading verifies the frame, the lengths, the checksum, the ``uid``
-columns and the row columns (ascending ids below ``next_id``, text
-indexes in the table, counts of at least 1) before any state is
-constructed, so a corrupt or truncated file never leaves partial state.
+Loading verifies the frame, the lengths and the checksum, and that a 2.2
+file's ids already ascend: a 2.2 file is refused, never sorted. The rows of
+every format then go through ``RowStore._restore``, which checks them as
+it checks the rows ``restore`` is given: ids, ``next_id``, the text table
+and its indexes, obs_count and ``uid``. Nothing is returned until both
+stores are built, so a corrupt or truncated file never leaves partial state.
 The binary part is read into two buffers, the row columns and the
 vector blocks, and hashed in file order. Each store copies its row
 columns into its own, so their buffer is freed after the load, and
@@ -29,8 +31,9 @@ still load: 2.1 (each item's fields in the meta, then the ``uid``
 columns and blocks), 2.0 (no ``uid`` columns: one vector per item) and
 1.x (one JSON document, base64 vectors inline, decoded straight into one
 block per store); in both, row i holds vector i. Their fields are
-checked as they fill the columns; an out-of-order 2.0 or 1.x file costs
-one sorted copy of its block. Saves always write the current format.
+type-checked as they fill the columns, and their texts are numbered in
+id order; an out-of-order 2.0 or 1.x file costs one sorted copy of its
+block. Saves always write the current format.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from itertools import count
 from numbers import Integral, Real
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
@@ -47,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .captions import CaptionStore
-from .columns import RowStore, _dim_error, column_dtype
+from .columns import RowStore, _dim_error, _intern, column_dtype
 from .embedding import EmbeddingProvider, FixtureProvider, HashProvider
 from .graph import IngestReport, MemoryGraph
 from .logio import decode_vector, encode_vector, load_log
@@ -142,39 +144,24 @@ def provider_from_spec(spec: dict, dim: int) -> EmbeddingProvider:
     return FixtureProvider(table, fallback=HashProvider(seed=seed, dim=dim), dim=dim)
 
 
-def _entry_columns(store: type[RowStore], entries: list) -> dict:
-    """The row columns of a 1.x-2.1 meta's entries (one JSON object per
-    item, its fields by name): texts must be strings, numbers JSON numbers,
-    ids and counts integers."""
+def _entry_columns(store: type[RowStore], entries: list, values: dict) -> list[str]:
+    """Put the row columns of a 1.x-2.1 meta's entries (one JSON object per
+    item, its fields by name) in ``values`` and return their text table,
+    numbered in id order as the store that saved them numbered it. Texts
+    must be strings, numbers JSON numbers, ids and counts integers."""
     fields = [f.name for f in dataclass_fields(store._ITEM)]
-    values = {"text": [d[fields[1]] for d in entries]}
-    if not all(type(t) is str for t in values["text"]):
+    texts = [d[fields[1]] for d in entries]
+    if not all(type(t) is str for t in texts):
         raise ValueError(f"every {fields[1]} must be a string")
     for f, col in ((fields[0], "ids"), *zip(fields[4:], store._REST)):
         kind = Integral if column_dtype(col) == np.int64 else Real
         values[col] = np.array([json_number(d[f], f, kind) for d in entries], column_dtype(col))
     poses = [Pose.from_dict(d["pose"]) for d in entries]
     values.update({c: np.array([getattr(p, c) for p in poses]) for c in ("x", "y", "z", "yaw")})
-    return values
-
-
-def _check_rows(values: dict, table: list | None, what: str) -> None:
-    """Refuse an obs_count below 1 and, in a 2.2 file (with ``table``),
-    ids that do not ascend, a repeated text or a text index outside the
-    table."""
-    counts = values.get("count")
-    if counts is not None and counts.size and counts.min() < 1:
-        raise ValueError(f"obs_count must be >= 1, got {counts.min()}")
-    if table is None:
-        return
-    ids, text = values["ids"], values["text"]
-    if not np.all(ids[1:] > ids[:-1]):
-        raise ValueError(f"{what} ids must be ascending and unique")
-    strings = type(table) is list and all(type(t) is str for t in table)
-    if not strings or len(set(table)) < len(table):
-        raise ValueError(f"{what} texts must be a list of distinct strings")
-    if text.size and (text.min() < 0 or text.max() >= len(table)):
-        raise ValueError(f"{what} text indexes must lie in [0, {len(table)})")
+    order = np.argsort(values["ids"], kind="stable")
+    numbers, table = _intern(map(texts.__getitem__, order.tolist()), len(texts))
+    values["text"] = numbers[np.argsort(order)]  # back in file order
+    return list(table)
 
 
 def _header(payload_bytes: int, meta_bytes: int, digest: str) -> bytes:
@@ -333,21 +320,13 @@ def _split_blocks(columns: np.ndarray, blocks: np.ndarray, dim: int, counts: lis
     emb = blocks.view("<f4").reshape(-1, dim).astype(np.float32, copy=False)
     emb.setflags(write=False)
     out, lo, at = [], 0, 0
-    for what, n, m, cols in zip(("node", "record"), counts, vectors, names):
+    for n, m, cols in zip(counts, vectors, names):
         values = {}
         for name in cols:  # astype copies only on a big-endian host
             dtype = column_dtype(name)
             column = columns[at : at + 8 * n].view(dtype.newbyteorder("<"))
             values[name] = column.astype(dtype, copy=False)
             at += 8 * n
-        u = values.get("uid")
-        if u is not None:
-            outside = u.size and (u.min() < 0 or u.max() >= m)
-            if outside or np.count_nonzero(np.bincount(u, minlength=m)) != m:
-                raise SnapshotError(
-                    f"{path}: the {what} uid column must use each of its {m} stored "
-                    f"vectors and no other"
-                )
         out.append((values, emb[lo : lo + m]))
         lo += m
     return out
@@ -415,13 +394,13 @@ def load_snapshot(path: str | Path) -> SessionState:
             parts = _split_blocks(columns, blocks, dim, counts, vectors, names, path)
         stores = []
         for (store, key), s, (values, block) in zip(_KINDS, sections, parts):
-            table = s["texts"] if version >= [2, 2] else None
-            if table is None:
-                values.update(_entry_columns(store, s[key]))
-            _check_rows(values, table, store._WHAT)
-            index = None if table is None else dict(zip(table, count()))
-            next_id = json_number(s["next_id"], "next_id", Integral)
-            stores.append(store._restore(cfg, values, index, next_id, block))
+            if version < [2, 2]:
+                texts = _entry_columns(store, s[key], values)
+            else:  # refused, never sorted, when its ids do not ascend
+                texts, ids = s["texts"], values["ids"]
+                if not np.all(ids[1:] > ids[:-1]):
+                    raise ValueError(f"{store._WHAT} ids must be ascending and unique")
+            stores.append(store._restore(cfg, values, texts, s["next_id"], block))
         graph, captions = stores
         stats = SessionStats.from_dict(payload.get("stats", {}))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -380,6 +380,19 @@ class TestProviderFlag:
         node = state.graph.get_node(1)
         assert np.allclose(node.embedding, vecs[0], atol=1e-6)
 
+    def test_unnormalizable_fixture_vector_names_its_line(self, tmp_path, toy_log, capsys):
+        table_path, snap = tmp_path / "t.tsv", tmp_path / "s.lgrsnap"
+        table_path.write_text("cup\tnan,1,0\n")
+        code, out, err = run(
+            capsys, "ingest", toy_log, "--out", snap, "--provider", f"fixture:{table_path}"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {table_path}:1: bad vector value: "
+            "cannot normalize a vector with non-finite values\n"
+        )
+        assert not snap.exists()
+
     def test_unknown_provider_spec(self, tmp_path, toy_log, capsys):
         code, _, err = run(
             capsys, "ingest", toy_log, "--out", tmp_path / "s", "--provider", "magic"

@@ -248,6 +248,22 @@ class TestFixtureTableFile:
         with pytest.raises(ValueError, match=":1:"):
             load_fixture_table(path)
 
+    @pytest.mark.parametrize(
+        "row, why",
+        [
+            ("nan,1,0", "a vector with non-finite values"),
+            ("1,-inf,0", "a vector with non-finite values"),
+            ("0,0,-0.0", "the zero vector"),
+        ],
+    )
+    def test_vector_that_cannot_be_normalized_reports_line(self, tmp_path, row, why):
+        # was loaded; the provider then failed with no file or line
+        path = tmp_path / "table.tsv"
+        path.write_text(f"# comment\nmug\t1,0,0\ncup\t{row}\n")
+        with pytest.raises(ValueError) as err:
+            load_fixture_table(path)
+        assert str(err.value) == f"{path}:3: bad vector value: cannot normalize {why}"
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "table.tsv"
         path.write_text("cup\t1.0,0.0\ncup\t0.0,1.0\n")

@@ -5,6 +5,8 @@ import pytest
 
 import oracles
 from conftest import DIM, random_graph, unit_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from lgr import (
     Caption,
     Config,
@@ -17,6 +19,7 @@ from lgr import (
 )
 from lgr.columns import Columns
 from lgr.embedding import HashProvider, l2_normalize
+from test_session_machine import EDGE
 
 
 def node_at(node_id: int, emb: np.ndarray, pose: Pose, t: float = 0.0) -> EntityNode:
@@ -165,6 +168,68 @@ class TestFindMatches:
                 naive_view, q, tuple(p), cfg64.delta_e, cfg64.delta_p
             )
             assert got == want
+
+
+# delta_p and the Pythagorean triple that, scaled by a power of two, ends
+# exactly on it; nodes sit on a grid 32 m apart, so a node's sightings reach
+# no other cell, and nodes that ingest merges keep their cell exactly
+EDGE_TRIPLES = {2.5: (3, 4, 5), 5.0: (3, 4, 5), 6.5: (5, 12, 13), 13.0: (5, 12, 13)}
+CELLS = (-32.0, 0.0, 32.0)
+
+
+def edge_sightings(cell: tuple, delta_p: float) -> list[tuple]:
+    """Positions exactly ``delta_p`` from ``cell``, along each axis and
+    along the scaled triple in each plane, with every sign; and along each
+    axis one ulp inside and one ulp past that edge. Every difference from
+    ``cell`` is exact, and so is its length in both the engine's
+    arithmetic and the oracle's (``sqrt(fl(x*x)) == |x|``)."""
+    a, b, c = EDGE_TRIPLES[delta_p]
+    a, b = a * delta_p / c, b * delta_p / c
+    out = set()
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        for u, v in ((delta_p, 0.0), (a, b), (b, a)):
+            for su, sv in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                p = list(cell)
+                p[i], p[j] = p[i] + su * u, p[j] + sv * v
+                out.add(tuple(p))
+        for edge in (cell[i] + delta_p, cell[i] - delta_p):
+            for toward in (-np.inf, np.inf):
+                p = list(cell)
+                p[i] = float(np.nextafter(edge, toward))
+                out.add(tuple(p))
+    return sorted(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(delta_p=st.sampled_from(sorted(EDGE_TRIPLES)), data=st.data())
+def test_gate_at_its_exact_edges_equals_the_oracle(delta_p, data):
+    """Labels exactly at delta_e and one step either side (``EDGE``),
+    sighted exactly at delta_p and one ulp either side: the gate of a
+    restored graph, and of a graph after each frame that builds it by
+    ingest (so repeat queries take the memo's incremental path), equals
+    ``find_matches_naive``."""
+    cfg = Config(embedding_dim=len(EDGE["mug"]), delta_e=0.75, delta_p=delta_p)
+    vectors = {text: np.array(v, np.float32) for text, v in EDGE.items()}
+    label, cell = st.sampled_from(sorted(EDGE)), st.tuples(*[st.sampled_from(CELLS)] * 3)
+    nodes = data.draw(st.lists(st.tuples(label, cell), min_size=1, max_size=5))
+    queries = [(vectors[text], Pose(*p)) for c in sorted({c for _, c in nodes})
+               for p in edge_sightings(c, delta_p) for text in sorted(EDGE)]
+
+    def check(g: MemoryGraph) -> None:
+        view = [(n.node_id, n.embedding, n.pose.position()) for n in g.all_nodes()]
+        for e, pose in queries:
+            want = oracles.find_matches_naive(view, e, pose.position(), cfg.delta_e, delta_p)
+            assert g.find_matches(e, pose) == want
+
+    check(MemoryGraph.restore(cfg, [
+        EntityNode(i + 1, text, vectors[text], Pose(*c), 0.0, 0.0, 1)
+        for i, (text, c) in enumerate(nodes)
+    ]))
+    g = MemoryGraph(cfg)
+    for i, (text, c) in enumerate(nodes):
+        g.ingest_observation(obs_with([Label(text, vectors[text])], pose=Pose(*c), t=float(i)))
+        check(g)
+    assert {(n.pose.x, n.pose.y, n.pose.z) for n in g.all_nodes()} <= {c for _, c in nodes}
 
 
 class TestIngest:

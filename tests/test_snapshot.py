@@ -1066,6 +1066,103 @@ def test_older_formats_refuse_mistyped_fields(tmp_path, version, key, field, val
 
 
 # ----------------------------------------------------------------------
+# restore checks its rows as a load does
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "section, field, value, n, match",
+    [  # n: the items the store holds
+        ("graph", "obs_count", 0, 1, "obs_count must be >= 1, got 0"),
+        ("graph", "obs_count", -3, 1, "obs_count must be >= 1, got -3"),
+        ("graph", "label_text", 5, 1, "node texts must be a list of distinct strings"),
+        ("captions", "text", 5, 1, "caption record texts must be a list of distinct strings"),
+        ("graph", "next_id", 2.5, 1, "next_id must be an integer, got 2.5"),
+        ("captions", "next_id", 2.5, 1, "next_id must be an integer, got 2.5"),
+        ("graph", "next_id", True, 0, "next_id must be an integer, got True"),
+        ("captions", "next_id", True, 0, "next_id must be an integer, got True"),
+    ],
+)
+def test_restore_refuses_what_a_load_refuses(tmp_path, section, field, value, n, match):
+    # each was accepted by restore, and the snapshot it then saved failed
+    # to load (or, for next_id 2.5, ingest reported id 2.5 for node 2)
+    state, store = build_state(n_nodes=5, n_captions=3), dict(STORES)[section]
+    items = getattr(state, section)._all()[:n]
+    setattr(state, section, store.restore(state.cfg, items))
+    path = tmp_path / "s.lgrsnap"
+    save_snapshot(state, path)
+    header, payload, cols, vectors = split_v2_2(path)
+    if field == "next_id":
+        payload[section]["next_id"] = value
+        args = (items, value)
+    else:  # the same fault in the file's text table or count column
+        if ITEM_COLUMNS[section][field] == "text":
+            payload[section]["texts"][0] = value
+        else:
+            cols[section, "count"][0] = value
+        args = ([replace(items[0], **{field: value})],)
+    write_v2_2(path, header, payload, cols, vectors)
+    with pytest.raises(SnapshotError, match=re.escape(match)):
+        load_snapshot(path)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        store.restore(state.cfg, *args)
+
+
+RESTORE_VECTORS = unit_rows(3, DIM, seed=31)
+
+
+@st.composite
+def restore_inputs(draw) -> tuple:
+    """Node and caption-record lists, with next_ids, that restore may or
+    may not accept: ids out of order (repeated ids are ``test_columns``'s),
+    texts that are not strings, counts below 1, next_ids of every kind;
+    vectors repeat."""
+    def items(make) -> list:
+        # about one item in ten has a text that is not a string or a count of 0
+        text, count = st.sampled_from((*"abcabcabc", 4)), st.integers(0, 9)
+        vector, t = st.sampled_from(tuple(RESTORE_VECTORS)), st.floats(0.0, 100.0)
+        pose = st.builds(Pose, *[st.integers(-3, 3).map(float)] * 2)
+        ids = draw(st.lists(st.integers(-2, 9), unique=True, max_size=5))
+        return [make(i, *map(draw, (text, vector, pose, t, t, count))) for i in ids]
+
+    next_ids = st.none() | st.integers(-1, 12) | st.sampled_from((2.5, True, np.int64(11)))
+    nodes = items(EntityNode)
+    records = items(lambda i, text, e, pose, t, _, __: CaptionRecord(i, text, e, pose, t))
+    return nodes, draw(next_ids), records, draw(next_ids)
+
+
+def tool_results(state: SessionState) -> list:
+    graph, captions, out = state.graph, state.captions, []
+    for i, text in enumerate(("a", "b", "probe")):
+        q = state.provider.embed(text)
+        for k in (1, 3, 7):
+            out += [t_semantic(graph, state.provider, text, k), captions.query_text(q, k),
+                    t_position(graph, float(i), 1.0, 0.0, k), t_time(graph, 0, 0, 50, k),
+                    captions.query_position(Pose(1.0, float(i)), k), captions.query_time(50.0, k)]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=restore_inputs())
+def test_what_restore_accepts_loads_back_equal(inputs):
+    nodes, node_next, records, record_next = inputs
+    cfg = Config(embedding_dim=DIM)
+    state = SessionState.new(cfg, HashProvider(seed=3, dim=DIM))
+    try:
+        state.graph = MemoryGraph.restore(cfg, nodes, node_next)
+        state.captions = CaptionStore.restore(cfg, records, record_next)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.lgrsnap"
+        save_snapshot(state, path)
+        loaded = load_snapshot(path)
+    for before, after in ((state.graph, loaded.graph), (state.captions, loaded.captions)):
+        assert items_of(after) == items_of(before)
+        assert (after.vector_count(), after.next_id) == (before.vector_count(), before.next_id)
+    assert tool_results(loaded) == tool_results(state)
+
+
+# ----------------------------------------------------------------------
 # provider and stats fields are checked, not coerced
 # ----------------------------------------------------------------------
 
