@@ -477,6 +477,54 @@ def test_committed_2_1_file_answers_as_before(tmp_path, capsys):
             assert cli_stdout(capsys, argv) == case["stdout"], argv
 
 
+@pytest.mark.parametrize("version", ["1.0", "2.0", "2.2"])
+def test_committed_file_answers_as_its_writer_did(tmp_path, capsys, version):
+    # session_<version>.lgrsnap is what the last tree to write that format
+    # wrote for `lgr ingest session.jsonl --config session.config.json
+    # --seed 3` (hash provider, dimension 16, repeated labels and captions);
+    # the expected file holds what that tree's `lgr` printed for it. `lgr
+    # stats` printed fewer fields then, so only the fields it printed are
+    # compared.
+    name = "session_" + version.replace(".", "_")
+    snap, again = tmp_path / "s.lgrsnap", tmp_path / "again.lgrsnap"
+    shutil.copy(DATA / f"{name}.lgrsnap", snap)
+    expected = json.loads((DATA / f"{name}.expected.json").read_text())
+    for case in expected:
+        argv = [str(snap) if a == "SNAP" else a for a in case["argv"]]
+        if case["argv"][0] == "stats":
+            then, now = json.loads(case["stdout"]), json.loads(cli_stdout(capsys, argv))
+            assert {k: now[k] for k in then} == then
+        else:
+            assert cli_stdout(capsys, argv) == case["stdout"], argv
+    old = load_snapshot(snap)
+    assert old.format_version == tuple(map(int, version.split(".")))
+    save_snapshot(old, again)
+    new = load_snapshot(again)
+    for store in ("graph", "captions"):
+        assert items_of(getattr(new, store)) == items_of(getattr(old, store))
+    for case in expected[:-1]:  # the queries, on the file saved again
+        argv = [str(again) if a == "SNAP" else a for a in case["argv"]]
+        assert cli_stdout(capsys, argv) == case["stdout"], argv
+
+
+def test_committed_files_hold_one_session(tmp_path, capsys):
+    # the three committed files of session.jsonl hold the same rows, and
+    # the 2.2 file is byte for byte what `lgr ingest` writes for that log
+    # (a new format version replaces that file and this check)
+    snap = tmp_path / "s.lgrsnap"
+    assert main(["ingest", str(DATA / "session.jsonl"), "--out", str(snap), "--seed", "3",
+                 "--config", str(DATA / "session.config.json")]) == 0
+    capsys.readouterr()
+    assert snap.read_bytes() == (DATA / "session_2_2.lgrsnap").read_bytes()
+    states = [load_snapshot(DATA / f"session_{v}.lgrsnap") for v in ("1_0", "2_0", "2_2")]
+    for store in ("graph", "captions"):
+        first = items_of(getattr(states[0], store))
+        assert all(items_of(getattr(s, store)) == first for s in states[1:])
+    assert states[2].graph.vector_count() < states[2].graph.node_count()
+    assert states[2].captions.vector_count() < states[2].captions.record_count()
+    assert max(n.obs_count for n in states[2].graph.all_nodes()) > 1
+
+
 @pytest.mark.parametrize("version", ["2.2", "2.1", "2.0", "1.0"])
 def test_load_allocates_one_embedding_block(tmp_path, version):
     # numpy reports its buffers to tracemalloc; a second copy of the
