@@ -26,6 +26,7 @@ CONFIG_ENV_VAR = "LGR_CONFIG"
 
 _QUERY_TOOLS = {t.cli_name: t for t in TOOLS}
 QUERY_TOOLS = (*_QUERY_TOOLS, "route")
+_JSON_TYPES = {"string": str, "number": float, "integer": int}
 
 
 def _provider_flags(parser: argparse.ArgumentParser) -> None:
@@ -57,15 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="run one retrieval tool on a snapshot")
     p_query.add_argument("snapshot")
     p_query.add_argument("tool", help="one of: " + ", ".join(QUERY_TOOLS))
-    text_tools = [t.cli_name for t in TOOLS if ("query", "string") in t.params]
-    p_query.add_argument("--query", help=f"text query ({', '.join(text_tools)}, route)")
-    p_query.add_argument("--x", type=float)
-    p_query.add_argument("--y", type=float)
-    p_query.add_argument("--z", type=float, default=0.0)
-    p_query.add_argument("--hh", type=int)
-    p_query.add_argument("--mm", type=int)
-    p_query.add_argument("--ss", type=int)
-    p_query.add_argument("--t", type=float, help="session seconds (captions-time)")
+    # one flag per tool parameter but k, typed by its JSON type, in order of first use
+    for name, kind in dict.fromkeys(p for t in TOOLS for p in t.params if p[0] != "k"):
+        users = [t.cli_name for t in TOOLS if (name, kind) in t.params] + ["route"] * (name == "query")
+        p_query.add_argument(f"--{name}", type=_JSON_TYPES[kind], help=f"{kind} ({', '.join(users)})",
+                             default=0.0 if name == "z" else None)
     p_query.add_argument(
         "--update-snapshot",
         action="store_true",

@@ -16,9 +16,9 @@ checks a hit byte for byte (so ``-0.0`` and ``0.0`` stay apart); a
 repeat reuses the stored vector. A robot that keeps seeing the same
 objects writes the same caption and label again, so most appended
 vectors repeat. A restored store's first chunk is its whole embedding
-block: a loaded snapshot's read-only block is adopted as it is, with its
-``uid`` column, and ``restore`` copies the items' vectors into one, one
-vector per row. Restored vectors are not hashed: hashing costs as much
+block, read-only whatever its source: a loaded snapshot's block is
+adopted as it is, with its ``uid`` column, and ``restore`` copies the
+items' vectors into one, one vector per row. Restored vectors are not hashed: hashing costs as much
 as the rest of a 100k-row restore, so only appended vectors are looked
 up. Appended vectors fill chunks of ``_CHUNK`` vectors, allocated when
 the first one lands in them. An item's embedding is a read-only view of
@@ -157,14 +157,6 @@ class Columns:
         # the parts of the cosine bound that depend on the dimension alone
         self._rel_err = _gamma(dim, _U32) * (1.0 + _U32) + _U32 + _gamma(dim, _U64)
         self._tiny = dim * _TINY
-
-    def adopt(self, block: np.ndarray) -> None:
-        """Take ``block``, the (m, dim) float32 vectors of an empty store, as
-        its first chunk, without copying or hashing it."""
-        if block.shape[0]:
-            self.chunks, self.starts = [block], [0]
-            self.distinct = block.shape[0]
-            self.bound_norms(float(np.einsum("ij,ij->i", block, block).max()))
 
     def append(self, id_: int, emb, text: str, pose, **values) -> None:
         """Add a row: its id, vector, text and pose, and ``values`` for its
@@ -429,26 +421,26 @@ def _intern(texts: Iterable[str], n: int) -> tuple[np.ndarray, dict[str, int]]:
     return np.fromiter(numbers, np.int64, n), index
 
 
-def _stack(items: list, dim: int, what: str) -> np.ndarray:
-    """One (n, dim) float32 copy of the items' embeddings, which must all
+def _stack(vectors: list, dim: int, what: str) -> np.ndarray:
+    """One read-only (n, dim) float32 copy of ``vectors``, which must all
     have length ``dim`` and cast nothing. Only when that fails are the
     distinct shapes, then the distinct dtypes, checked for the error."""
-    embs = list(map(attrgetter("embedding"), items))
-    block = np.empty((len(embs), dim), np.float32)
+    block = np.empty((len(vectors), dim), np.float32)
     try:
-        if set(map(len, embs)) - {dim}:
+        if set(map(len, vectors)) - {dim}:
             raise ValueError("a length other than dim")
-        if embs:  # one copy, through a flat view of the block
-            np.concatenate(embs, out=block.reshape(-1), casting="no")
-        return block
+        if vectors:  # one copy, through a flat view of the block
+            np.concatenate(vectors, out=block.reshape(-1), casting="no")
     except (TypeError, ValueError):  # report the first wrong shape, then dtype
-        for shape in set(map(attrgetter("shape"), embs)):
+        for shape in set(map(attrgetter("shape"), vectors)):
             if shape != (dim,):
                 raise _dim_error(dim, shape) from None
-        for dtype in set(map(attrgetter("dtype"), embs)):
+        for dtype in set(map(attrgetter("dtype"), vectors)):
             if dtype != _F32:
                 raise ValueError(f"{what} embeddings must be float32, got {dtype}") from None
         raise
+    block.flags.writeable = False
+    return block
 
 
 class RowStore:
@@ -541,15 +533,20 @@ class RowStore:
         The embeddings are copied once, into one chunk, one vector per
         item. They are not hashed, so only vectors appended later are
         shared: hashing 100k rows costs as much as the rest of the restore.
-        ``_restore`` checks the rows and ``next_id`` as it checks a load's.
+        Ids and obs_count must be integers, as in a file; ``_restore``
+        checks the rows and ``next_id`` as it checks a load's.
         """
         items = list(items)
         fields = [f.name for f in dataclass_fields(cls._ITEM)]
-        block = _stack(items, cfg.embedding_dim, cls._WHAT)
+        block = _stack(list(map(attrgetter("embedding"), items)), cfg.embedding_dim, cls._WHAT)
         poses = list(map(attrgetter("pose"), items))
         values = {c: _column(poses, c, np.float64) for c in ("x", "y", "z", "yaw")}
         for f, c in ((cls._ID, "ids"), *zip(fields[4:], cls._REST)):
-            values[c] = _column(items, f, column_dtype(c))
+            dtype = column_dtype(c)
+            if dtype == np.int64 and set(map(type, map(attrgetter(f), items))) - {int}:
+                for value in map(attrgetter(f), items):  # refuse as a load does: 2.5, True, "3"
+                    json_number(value, f, Integral)
+            values[c] = _column(items, f, dtype)
         values["text"], index = _intern(map(attrgetter(fields[1]), items), len(items))
         return cls._restore(cfg, values, list(index), next_id, block)
 
@@ -598,7 +595,9 @@ class RowStore:
         store = cls(cfg)
         store._next_id = int(next_id)
         cols = store._cols = Columns(cfg.embedding_dim, n + max(_GROW, n), cls._NAMES)
-        cols.adopt(block)
+        if m:  # the block is the first chunk, neither copied nor hashed
+            cols.chunks, cols.starts, cols.distinct = [block], [0], m
+            cols.bound_norms(float(np.einsum("ij,ij->i", block, block).max()))
         for name in cols.names:
             getattr(cols, name)[:n] = values[name]
         cols.texts, cols._text_ids = texts, index

@@ -26,14 +26,19 @@ def l2_normalize(values) -> np.ndarray:
     """Normalize to unit length in float64, stored as float32.
 
     Float32 storage keeps serialized vectors bit-exact; the norm of the
-    result stays within 1e-6 of 1.
+    result stays within 1e-6 of 1. Only a vector whose norm overflows
+    (``[1e200, 1e200]``) is first divided by its largest magnitude.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot normalize a vector with non-finite values")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if norm == np.inf:
+        v = v / np.abs(v).max()
+        norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     out = (v / norm).astype(np.float32)

@@ -29,11 +29,13 @@ adopts its read-only block as its first chunk, with no copy and no
 hashing: the second buffer is the only copy of the embeddings. Older formats
 still load: 2.1 (each item's fields in the meta, then the ``uid``
 columns and blocks), 2.0 (no ``uid`` columns: one vector per item) and
-1.x (one JSON document, base64 vectors inline, decoded straight into one
-block per store); in both, row i holds vector i. Their fields are
-type-checked as they fill the columns, and their texts are numbered in
-id order; an out-of-order 2.0 or 1.x file costs one sorted copy of its
-block. Saves always write the current format.
+1.x (one JSON document, base64 vectors inline, decoded and copied into
+one read-only block per store, as ``restore`` copies its items'); in
+both, row i holds vector i. Their fields are type-checked as they fill
+the columns, and their texts are numbered in id order; an out-of-order
+2.0 or 1.x file costs one sorted copy of its block. Saves always write
+the current format, in one pass: the payload's parts are hashed, then
+the header (with the digest) and the parts are written, each once.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .captions import CaptionStore
-from .columns import RowStore, _dim_error, _intern, column_dtype
+from .columns import RowStore, _intern, _stack, column_dtype
 from .embedding import EmbeddingProvider, FixtureProvider, HashProvider
 from .graph import IngestReport, MemoryGraph
 from .logio import decode_vector, encode_vector, load_log
@@ -58,7 +60,6 @@ from .router import SessionStats
 
 FORMAT_NAME = "lgr-snapshot"
 FORMAT_VERSION = (2, 2)
-_CHUNK = 1024  # embedding rows written and hashed at a time on save
 
 
 class SnapshotError(RuntimeError):
@@ -164,24 +165,12 @@ def _entry_columns(store: type[RowStore], entries: list, values: dict) -> list[s
     return list(table)
 
 
-def _header(payload_bytes: int, meta_bytes: int, digest: str) -> bytes:
-    header = {
-        "format": FORMAT_NAME,
-        "version": list(FORMAT_VERSION),
-        "payload_bytes": payload_bytes,
-        "meta_bytes": meta_bytes,
-        "payload_sha256": digest,
-    }
-    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-
-
 def save_snapshot(state: SessionState, path: str | Path) -> None:
     """Write the session atomically and durably: the temp file is fsynced,
     renamed over ``path``, and then the directory is fsynced.
 
-    The stores' embedding chunks are written and hashed ``_CHUNK`` rows
-    at a time; the header goes first with a placeholder digest of the same
-    length and is rewritten in place once the payload is hashed.
+    The payload's parts are built in file order and hashed, then the
+    header and the parts are written, each once.
     """
     meta = {"config": state.cfg.to_dict(), "provider": provider_to_spec(state.provider)}
     meta["stats"] = state.stats.to_dict()
@@ -193,26 +182,21 @@ def save_snapshot(state: SessionState, path: str | Path) -> None:
         meta[key] = {"next_id": store.next_id, "rows": n, "vectors": vectors, "texts": texts}
         columns += values.values()
         blocks += store_blocks
-    columns = [c.astype(c.dtype.newbyteorder("<"), copy=False) for c in columns]
     body = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload_bytes = len(body) + sum(c.nbytes for c in columns)
-    payload_bytes += sum(b.shape[0] for b in blocks) * state.cfg.embedding_dim * 4
-    sha = hashlib.sha256(body)
+    # little-endian; astype copies only on a big-endian host
+    parts = [body, *(a.astype(a.dtype.newbyteorder("<"), copy=False) for a in columns + blocks)]
+    sha = hashlib.sha256()
+    for part in parts:
+        sha.update(part)
+    header = {"format": FORMAT_NAME, "version": list(FORMAT_VERSION), "meta_bytes": len(body),
+              "payload_bytes": sum(memoryview(p).nbytes for p in parts),
+              "payload_sha256": sha.hexdigest()}
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("wb") as fh:
-        fh.write(_header(payload_bytes, len(body), "0" * sha.digest_size * 2))
-        fh.write(body)
-        for part in columns:
-            sha.update(part)
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for part in parts:
             fh.write(part)
-        for block in blocks:
-            for i in range(0, block.shape[0], _CHUNK):
-                part = block[i : i + _CHUNK].astype("<f4", copy=False)  # copies on big-endian hosts
-                sha.update(part)
-                fh.write(part)
-        fh.seek(0)
-        fh.write(_header(payload_bytes, len(body), sha.hexdigest()))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -332,19 +316,6 @@ def _split_blocks(columns: np.ndarray, blocks: np.ndarray, dim: int, counts: lis
     return out
 
 
-def _decode_block(entries: list, dim: int) -> np.ndarray:
-    """Read-only (n, dim) float32 rows of the entries' inline base64
-    vectors (format 1.x), decoded straight into one block."""
-    block = np.empty((len(entries), dim), np.float32)
-    for row, d in zip(block, entries):
-        e = decode_vector(d["embedding"])
-        if e.shape != row.shape:
-            raise _dim_error(dim, e.shape)
-        row[...] = e
-    block.setflags(write=False)
-    return block
-
-
 def load_snapshot(path: str | Path) -> SessionState:
     """Verify the frame, then rebuild the full session state.
 
@@ -388,7 +359,10 @@ def load_snapshot(path: str | Path) -> SessionState:
             raise SnapshotError(f"{path}: {exc}") from None
         sections = payload["graph"], payload["captions"]
         if version[0] < 2:
-            parts = [({}, _decode_block(s[key], dim)) for s, (_, key) in zip(sections, _KINDS)]
+            parts = [
+                ({}, _stack([decode_vector(d["embedding"]) for d in s[key]], dim, store._WHAT))
+                for s, (store, key) in zip(sections, _KINDS)
+            ]
         else:
             counts, vectors, names = _layout(payload, version)
             parts = _split_blocks(columns, blocks, dim, counts, vectors, names, path)

@@ -38,6 +38,7 @@ from lgr import (
 )
 from lgr.cli import build_parser, main
 from lgr.snapshot import load_snapshot
+from lgr.tools import TOOLS
 from test_eval import JSON_VALUES
 from test_model import CONFIG_DOC, CONFIG_MUTATIONS, SPECIALS, config_or_refusal, mutated_config
 from worlds import ScriptedPlanner
@@ -421,6 +422,19 @@ class TestOptionSets:
             for name, p in sub.choices.items()
         }
         assert options == self.EXPECTED
+
+    def test_query_flags_are_the_tool_parameters(self, snapshot, capsys):
+        # one flag per TOOLS parameter but k, typed by its JSON type; only
+        # --z has a default
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {a.dest: a for a in sub.choices["query"]._actions}
+        types = {"string": str, "number": float, "integer": int}
+        params = {n: kind for t in TOOLS for n, kind in t.params if n != "k"}
+        for name, kind in params.items():
+            assert (flags[name].type, flags[name].default) == (types[kind], 0.0 if name == "z" else None)
+        with pytest.raises(SystemExit) as exc:
+            main(["query", str(snapshot), "time", "--hh", "1.5", "--mm", "0", "--ss", "0"])
+        assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
 
     def test_unread_options_are_refused(self, tmp_path, snapshot, capsys):
         qa = tmp_path / "qa.jsonl"

@@ -189,6 +189,42 @@ class TestHashProvider:
         assert abs(float(np.linalg.norm(vec.astype(np.float64))) - 1.0) <= 1e-6
 
 
+class TestNormalizeOverflow:
+    """A finite vector whose norm overflows float64 normalizes like its
+    scaled copy; it was returned as zeros, with an overflow warning."""
+
+    @pytest.mark.parametrize(
+        "values, scaled",
+        [
+            ([1e200, 1e200], [1.0, 1.0]),
+            ([-1e300, 5e299, 0.0], [-2.0, 1.0, 0.0]),
+            ([1.7e308, 1.7e308, 1.7e308, -1.7e308], [1.0, 1.0, 1.0, -1.0]),
+        ],
+    )
+    def test_overflowing_norm_is_scaled_first(self, values, scaled):
+        out = l2_normalize(values)  # the suite turns any warning into an error
+        assert out.tobytes() == l2_normalize(scaled).tobytes()
+        assert float(np.linalg.norm(out.astype(np.float64))) == pytest.approx(1.0, abs=1e-6)
+
+    @given(st.lists(st.just(0.0) | st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100),
+                    min_size=1, max_size=40))
+    def test_a_norm_that_does_not_overflow_is_not_scaled(self, values):
+        v = np.array(values)
+        if not v.any():
+            return
+        expected = (v / np.linalg.norm(v)).astype(np.float32)  # the construction before scaling
+        assert l2_normalize(v).tobytes() == expected.tobytes()
+
+    def test_fixture_row_and_provider(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_text("big\t1e200,1e200,0\nsmall\t3,4,0\n")
+        table = load_fixture_table(path)
+        assert table["big"].tolist() == [1e200, 1e200, 0.0]
+        provider = FixtureProvider(table, dim=3)
+        assert provider.embed("big").tobytes() == l2_normalize([1.0, 1.0, 0.0]).tobytes()
+        assert provider.embed("small").tobytes() == np.array([0.6, 0.8, 0.0], np.float32).tobytes()
+
+
 class TestFixtureProvider:
     def test_table_entries_dominate(self):
         e1 = l2_normalize(np.array([1.0, 0.0, 0.0]))

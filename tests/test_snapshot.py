@@ -1155,6 +1155,70 @@ def test_restore_refuses_what_a_load_refuses(tmp_path, section, field, value, n,
         store.restore(state.cfg, *args)
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("graph", "node_id", 2.5),
+        ("graph", "node_id", True),
+        ("graph", "obs_count", 2.5),
+        ("graph", "obs_count", True),
+        ("graph", "obs_count", "3"),
+        ("captions", "record_id", 2.5),
+        ("captions", "record_id", "2"),
+    ],
+)
+def test_restore_refuses_a_mistyped_integer_field(tmp_path, section, field, value):
+    # restore stored 2.5 as 2, True as 1 and "3" as 3; a 2.1 file with the
+    # same field is refused, and restore now gives the same message
+    state, store = build_state(n_nodes=5, n_captions=3), dict(STORES)[section]
+    items = getattr(state, section)._all()
+    path = tmp_path / "s.lgrsnap"
+    write_v2_1(state, path)
+    key = "nodes" if section == "graph" else "records"
+    rewrite_meta(path, lambda p: p[section][key][1].update({field: value}))
+    match = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(SnapshotError, match=re.escape(match)):
+        load_snapshot(path)
+    items[1] = replace(items[1], **{field: value})
+    with pytest.raises(ValueError, match=re.escape(match)):
+        store.restore(state.cfg, items)
+
+
+def test_restore_takes_numpy_integers(cfg64):
+    e = unit_rows(2, DIM, seed=8)
+    nodes = [EntityNode(np.int64(i + 1), f"n{i}", e[i], Pose(0.0, 0.0), 0.0, 1.0, np.int32(2))
+             for i in range(2)]
+    g = MemoryGraph.restore(cfg64, nodes)
+    assert [(n.node_id, n.obs_count) for n in g.all_nodes()] == [(1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("source", ["restore", "shuffled restore", "2.2", "2.1", "2.0",
+                                    "shuffled 2.0", "1.0"])
+def test_every_first_chunk_is_read_only(tmp_path, source):
+    # a store's first chunk is its whole restored or loaded block, which
+    # nothing may write; a restored store's was writable
+    state = build_state(n_nodes=5, n_captions=3)
+    path = tmp_path / "s.lgrsnap"
+    if source.endswith("restore"):
+        nodes = state.graph._all()  # seven
+        order = [3, 0, 6, 4, 2, 1, 5] if source.startswith("shuffled") else range(len(nodes))
+        stores = [MemoryGraph.restore(state.cfg, [nodes[i] for i in order]),
+                  CaptionStore.restore(state.cfg, state.captions._all())]
+    else:
+        if source == "shuffled 2.0":
+            write_v2_0(state, path, node_order=[3, 0, 6, 4, 2, 1, 5], record_order=[2, 0, 1])
+        else:
+            write_as(source, state, path)
+        loaded = load_snapshot(path)
+        stores = [loaded.graph, loaded.captions]
+    for store, before in zip(stores, (state.graph, state.captions)):
+        assert items_of(store) == items_of(before)
+        chunk = store._cols.chunks[0]
+        assert not chunk.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            chunk[0, 0] = 0.5
+
+
 RESTORE_VECTORS = unit_rows(3, DIM, seed=31)
 
 
