@@ -60,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("tool", help="one of: " + ", ".join(QUERY_TOOLS))
     # one flag per tool parameter but k, typed by its JSON type, in order of first use
     for name, kind in dict.fromkeys(p for t in TOOLS for p in t.params if p[0] != "k"):
-        users = [t.cli_name for t in TOOLS if (name, kind) in t.params] + ["route"] * (name == "query")
+        users = [t.cli_name for t in TOOLS if (name, kind) in t.params]
+        if name == "query":
+            users.append("route")
         p_query.add_argument(f"--{name}", type=_JSON_TYPES[kind], help=f"{kind} ({', '.join(users)})",
                              default=0.0 if name == "z" else None)
     p_query.add_argument(

@@ -18,12 +18,13 @@ objects writes the same caption and label again, so most appended
 vectors repeat. A restored store's first chunk is its whole embedding
 block, read-only whatever its source: a loaded snapshot's block is
 adopted as it is, with its ``uid`` column, and ``restore`` copies the
-items' vectors into one, one vector per row. Restored vectors are not hashed: hashing costs as much
-as the rest of a 100k-row restore, so only appended vectors are looked
-up. Appended vectors fill chunks of ``_CHUNK`` vectors, allocated when
-the first one lands in them. An item's embedding is a read-only view of
-its vector's chunk row; it is fixed at creation, and a graph update
-rewrites only x, y, z, time and obs_count.
+items' vectors into one, one vector per row. Restored vectors are not
+hashed: hashing costs as much as the rest of a 100k-row restore, so
+only appended vectors are looked up. Appended vectors fill chunks of
+``_CHUNK`` vectors, allocated when the first one lands in them. An
+item's embedding is a read-only view of its vector's chunk row; it is
+fixed at creation, and a graph update rewrites only x, y, z, time and
+obs_count.
 
 Cosine scores are the clipped float64 dot products of the stored vectors
 with the query, computed with ``row_dots``. A scan gets them by filter
